@@ -1,9 +1,16 @@
 """Operator-algebra engine: span closure, commutants, factor-pair
-verification, and the two bridges between grid structures and algebra pairs.
+certification, and the two bridges between grid structures and algebra pairs.
 
 An algebra is stored as a Frobenius-orthonormal spanning set closed under
 matrix multiplication.  Span comparisons reduce to projection residuals,
 which keeps every structural test at a uniform tolerance.
+
+Factor pairs are certified witness first: a pair is a tensor product
+partition exactly when some grid basis B induces it, so certification builds
+B from generic elements of the pair and compares the pair B induces with the
+input.  The six structural checks (commutation, adjoint closure, square
+dimensions, mutual commutants, trivial centers, full join) run only when no
+witness is found, as diagnostics of the failure.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from .errors import (
     GenericElementFailure,
     NonUnital,
     NotATpp,
+    SingularBasis,
 )
 from .tps import Tps, tps_new
 
@@ -36,6 +44,11 @@ class OperatorAlgebra:
     def flat(self) -> np.ndarray:
         """Span basis as orthonormal rows of shape (dim, n*n)."""
         return self.span_basis.reshape(self.dim, -1)
+
+
+# the named checks of a TppVerdict, in report order
+_CHECKS = ("commute", "star_closed", "dims_square", "mutual_commutant",
+           "trivial_center", "join_full")
 
 
 @dataclass(frozen=True)
@@ -83,6 +96,14 @@ def _projection_residual(mats: np.ndarray, flat_basis: np.ndarray) -> float:
     return float(np.linalg.norm(_project_out(mats, flat_basis)))
 
 
+def _algebra(basis: np.ndarray, n: int) -> OperatorAlgebra:
+    """Wrap an orthonormal span basis, recording whether it holds the identity."""
+    unital = _projection_residual(
+        np.eye(n, dtype=np.complex128)[None], basis.reshape(basis.shape[0], n * n)
+    ) <= 1e-8
+    return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital)
+
+
 def algebra_generate(generators, include_identity: bool = True,
                      tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     """Smallest multiplication-closed span containing the generators.
@@ -119,20 +140,12 @@ def algebra_generate(generators, include_identity: bool = True,
         fresh = vh[keep].reshape(-1, n, n)
         if fresh.shape[0]:
             basis = np.concatenate([basis, fresh])
-    basis = basis[: n * n]
-    unital = _projection_residual(
-        np.eye(n, dtype=np.complex128)[None], basis.reshape(basis.shape[0], -1)
-    ) <= 1e-8
-    return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital)
+    return _algebra(basis[: n * n], n)
 
 
 def _from_closed_span(mats: np.ndarray, n: int, tol: Tolerance) -> OperatorAlgebra:
     """Wrap matrices known to span a multiplicatively closed set."""
-    basis = _orthonormal_span(mats, tol.rank_rel)
-    unital = _projection_residual(
-        np.eye(n, dtype=np.complex128)[None], basis.reshape(basis.shape[0], -1)
-    ) <= 1e-8
-    return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital)
+    return _algebra(_orthonormal_span(mats, tol.rank_rel), n)
 
 
 def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -217,47 +230,6 @@ def _star_closed(a: OperatorAlgebra) -> bool:
     return bool(_projection_residual(adj, a.flat) <= 1e-8 * np.sqrt(max(a.dim, 1)))
 
 
-def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
-           tol: Tolerance = DEFAULT_TOL) -> TppVerdict:
-    """Certify that an ordered algebra pair factors the full matrix algebra.
-
-    The certificate evaluates: elementwise commutation, join of full
-    dimension, mutual commutants, trivial centers, closure under adjoints,
-    and square span dimensions k^2, l^2 with k*l = n.  Full certification is
-    only issued for star-closed pairs; otherwise the named checks are still
-    reported but the verdict stays False.
-    """
-    if a1.dim_space != a2.dim_space:
-        raise DimensionMismatch("algebras act on different spaces")
-    if not (a1.unital and a2.unital):
-        raise NonUnital("both algebras must contain the identity")
-    n = a1.dim_space
-    checks: dict = {}
-    checks["commute"] = _max_commutator(a1, a2) <= 1e-8
-    checks["star_closed"] = _star_closed(a1) and _star_closed(a2)
-
-    k = int(round(np.sqrt(a1.dim)))
-    l = int(round(np.sqrt(a2.dim)))
-    checks["dims_square"] = (k * k == a1.dim and l * l == a2.dim and k * l == n)
-
-    c1 = commutant(a1, tol)
-    c2 = commutant(a2, tol)
-    checks["mutual_commutant"] = span_equal(c1, a2, tol) and span_equal(c2, a1, tol)
-    checks["trivial_center"] = (
-        _intersection_dim(a1, c1, tol) == 1 and _intersection_dim(a2, c2, tol) == 1
-    )
-    if checks["commute"]:
-        checks["join_full"] = join(a1, a2, tol).dim == n * n
-    else:
-        checks["join_full"] = False
-
-    checks = {name: bool(v) for name, v in checks.items()}
-    ok = all(checks.values())
-    if not checks["dims_square"]:
-        k = l = 0
-    return TppVerdict(is_tpp=ok, k=k, l=l, checks=checks)
-
-
 def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     """Algebra pair acting factorwise in the grid basis of a Tps.
 
@@ -299,67 +271,149 @@ def _draw_generic_hermitian(span: np.ndarray, rng: np.random.Generator) -> np.nd
     return (h + h.conj().T) / 2
 
 
-def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
-               tol: Tolerance = DEFAULT_TOL) -> Tps:
-    """Construct a grid basis realizing a star-closed factor pair.
+def _factor_dims(a1: OperatorAlgebra, a2: OperatorAlgebra):
+    """(k, l) when the spans have dimensions k^2, l^2 with k*l = n, else None."""
+    k = int(round(np.sqrt(a1.dim)))
+    l = int(round(np.sqrt(a2.dim)))
+    if k * k == a1.dim and l * l == a2.dim and k * l == a1.dim_space:
+        return k, l
+    return None
+
+
+def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
+              tol: Tolerance) -> TppVerdict:
+    """The six named checks of a validated pair, each evaluated directly."""
+    n = a1.dim_space
+    dims = _factor_dims(a1, a2)
+    checks: dict = {}
+    checks["commute"] = _max_commutator(a1, a2) <= 1e-8
+    checks["star_closed"] = _star_closed(a1) and _star_closed(a2)
+    checks["dims_square"] = dims is not None
+
+    c1 = commutant(a1, tol)
+    c2 = commutant(a2, tol)
+    checks["mutual_commutant"] = span_equal(c1, a2, tol) and span_equal(c2, a1, tol)
+    checks["trivial_center"] = (
+        _intersection_dim(a1, c1, tol) == 1 and _intersection_dim(a2, c2, tol) == 1
+    )
+    if checks["commute"]:
+        checks["join_full"] = join(a1, a2, tol).dim == n * n
+    else:
+        checks["join_full"] = False
+
+    checks = {name: bool(v) for name, v in checks.items()}
+    k, l = dims if dims is not None else (0, 0)
+    return TppVerdict(is_tpp=all(checks.values()), k=k, l=l, checks=checks)
+
+
+def _draw_with_clusters(span: np.ndarray, groups: int, mult: int,
+                        rng: np.random.Generator, tol: Tolerance):
+    """A generic Hermitian element with `groups` eigenvalue clusters of
+    `mult` each, its eigenvectors and clusters; None after 16 draws."""
+    for _ in range(16):
+        h = _draw_generic_hermitian(span, rng)
+        vals, vecs = np.linalg.eigh(h)
+        clusters = cluster_values(vals, tol)
+        if len(clusters) == groups and all(len(c) == mult for c in clusters):
+            return h, vecs, clusters
+    return None
+
+
+def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
+             tol: Tolerance) -> Tps | None:
+    """A grid basis inducing exactly the pair (a1, a2), or None.
 
     Draws generic Hermitian elements r of a1 and t of a2, takes the
     eigenspace grid they induce, fixes the first fiber by the eigenbasis of r
     on the lowest t-eigenspace, and transports it to the remaining fibers by
-    algebra elements of a2 (one common rescaling per fiber).
+    algebra elements of a2 (one common rescaling per fiber).  The result is a
+    witness only if the pair it induces spans a1 and a2; it then implies all
+    six checks of `_diagnose`.
     """
-    verdict = is_tpp(a1, a2, tol)
-    if not verdict.is_tpp:
-        raise NotATpp(f"pair fails certification: {verdict.checks}")
-    n, k, l = a1.dim_space, verdict.k, verdict.l
-    herm1 = _hermitian_span(a1, tol)
+    if a1.dim_space != a2.dim_space:
+        raise DimensionMismatch("algebras act on different spaces")
+    if not (a1.unital and a2.unital):
+        raise NonUnital("both algebras must contain the identity")
+    dims = _factor_dims(a1, a2)
+    if dims is None or not (_star_closed(a1) and _star_closed(a2)):
+        return None
+    k, l = dims
+    n = a1.dim_space
     herm2 = _hermitian_span(a2, tol)
     rng = np.random.default_rng(seed)
+    drawn_r = _draw_with_clusters(_hermitian_span(a1, tol), k, l, rng, tol)
+    drawn_t = _draw_with_clusters(herm2, l, k, rng, tol)
+    if drawn_r is None or drawn_t is None:
+        return None
+    r = drawn_r[0]
+    _, t_vecs, t_clusters = drawn_t
 
-    def draw_with_clusters(span, groups, mult):
-        for _ in range(16):
-            h = _draw_generic_hermitian(span, rng)
-            vals, vecs = np.linalg.eigh(h)
-            clusters = cluster_values(vals, tol)
-            if len(clusters) == groups and all(len(c) == mult for c in clusters):
-                return h, vals, vecs, clusters
-        raise GenericElementFailure(
-            "no generic element found after 16 draws")
-
-    r, _, _, _ = draw_with_clusters(herm1, k, l)
-    t, tvals, tvecs, tclusters = draw_with_clusters(herm2, l, k)
-
-    projectors = [tvecs[:, c] for c in tclusters]  # each n x k, orthonormal
+    projectors = [t_vecs[:, c] for c in t_clusters]  # each n x k, orthonormal
     p0 = projectors[0]
     r0 = p0.conj().T @ r @ p0
-    rvals0, rvecs0 = np.linalg.eigh((r0 + r0.conj().T) / 2)
+    _, rvecs0 = np.linalg.eigh((r0 + r0.conj().T) / 2)
     fiber0 = np.column_stack([phase_fix(p0 @ rvecs0[:, j]) for j in range(k)])
 
     basis = np.zeros((n, n), dtype=np.complex128)
     basis[:, [j * l for j in range(k)]] = fiber0
     for i in range(1, l):
         pi = projectors[i]
-        transported = None
         for _ in range(16):
             b = _draw_generic_hermitian(herm2, rng)
-            cand = pi @ (pi.conj().T @ (b @ fiber0))
-            lead = np.linalg.norm(cand[:, 0])
-            if lead > 1e-6 * max(np.linalg.norm(b), 1.0):
-                transported = cand
+            transported = pi @ (pi.conj().T @ (b @ fiber0))
+            if np.linalg.norm(transported[:, 0]) > 1e-6 * max(np.linalg.norm(b), 1.0):
                 break
-        if transported is None:
-            raise GenericElementFailure(
-                "could not transport the first fiber to a later eigenspace")
+        else:
+            return None
         y0 = transported[:, 0]
-        mags = np.abs(y0)
-        p = int(np.argmax(mags))
+        p = int(np.argmax(np.abs(y0)))
         scale = np.linalg.norm(y0) * (y0[p] / abs(y0[p]))
-        transported = transported / scale
-        basis[:, [j * l + i for j in range(k)]] = transported
+        basis[:, [j * l + i for j in range(k)]] = transported / scale
 
-    out = tps_new(k, l, basis, tol)
+    try:
+        out = tps_new(k, l, basis, tol)
+    except SingularBasis:
+        return None
     b1, b2 = tps_to_tpp(out, tol)
-    if not (span_equal(b1, a1, tol) and span_equal(b2, a2, tol)):
-        raise GenericElementFailure(
-            "constructed basis does not reproduce the input pair")
-    return out
+    if span_equal(b1, a1, tol) and span_equal(b2, a2, tol):
+        return out
+    return None
+
+
+def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
+           tol: Tolerance = DEFAULT_TOL) -> TppVerdict:
+    """Certify that an ordered algebra pair factors the full matrix algebra.
+
+    Witness first: a pair that passes the cheap adjoint-closure and
+    square-dimension checks is certified by building a grid basis that
+    induces it, which implies every named check.  Without a witness the six
+    checks are evaluated directly, as diagnostics of the failure:
+    elementwise commutation, closure under adjoints, square span dimensions
+    k^2, l^2 with k*l = n, mutual commutants, trivial centers and a join of
+    full dimension.  Only star-closed pairs are certified.
+    """
+    t = _witness(a1, a2, 0, tol)
+    if t is not None:
+        return TppVerdict(is_tpp=True, k=t.k, l=t.l,
+                          checks=dict.fromkeys(_CHECKS, True))
+    return _diagnose(a1, a2, tol)
+
+
+def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
+               tol: Tolerance = DEFAULT_TOL) -> Tps:
+    """Construct a grid basis realizing a star-closed factor pair.
+
+    Returns the certification witness built from the generic draws of
+    `seed` (see `_witness`).  Without one, the six checks of `is_tpp` are
+    evaluated as diagnostics: NotATpp names the checks that fail, and
+    GenericElementFailure means they all pass but the draws found no basis.
+    """
+    out = _witness(a1, a2, seed, tol)
+    if out is not None:
+        return out
+    verdict = _diagnose(a1, a2, tol)
+    if not verdict.is_tpp:
+        failed = [name for name, ok in verdict.checks.items() if not ok]
+        raise NotATpp(f"pair fails certification: {', '.join(failed)}")
+    raise GenericElementFailure(
+        f"no grid basis reproducing the pair was found from seed {seed}")

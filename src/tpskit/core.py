@@ -182,10 +182,6 @@ def complete_orthonormal(vs, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return np.hstack([a, u[:, m:]])
 
 
-def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 def phase_fix(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its largest-magnitude entry is
     real positive (ties broken by lowest index)."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tpskit.algebra
 from tpskit import (
     algebra_generate,
     commutant,
@@ -14,10 +15,11 @@ from tpskit import (
     tps_new,
     tps_to_tpp,
 )
-from tpskit.algebra import OperatorAlgebra, contains
+from tpskit.algebra import OperatorAlgebra, _diagnose, contains
+from tpskit.core import DEFAULT_TOL
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
-from util import random_invertible, random_unitary
+from util import SHAPES, random_invertible, random_unitary
 
 XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
@@ -143,3 +145,85 @@ def test_tpp_to_tps_rejects_non_tpp():
     diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
     with pytest.raises(NotATpp):
         tpp_to_tps(diag, diag)
+
+
+def _parity_corpus():
+    """Seeded algebra pairs, each with the checks it must fail (none for a
+    factor pair of a unitary grid)."""
+    rng = np.random.default_rng(40)
+    corpus = []
+    for k, l in SHAPES:
+        pair = tps_to_tpp(tps_new(k, l, random_unitary(rng, k * l)))
+        corpus.append((f"unitary {k}x{l}", pair, set()))
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        pair = tps_to_tpp(tps_new(k, l, random_invertible(rng, k * l)))
+        corpus.append((f"invertible {k}x{l}", pair, {"star_closed"}))
+    diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
+    corpus.append(("abelian", (diag, diag), {"trivial_center"}))
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    full = algebra_generate([g, g.conj().T])
+    corpus.append(("full vs full", (full, full), {"commute"}))
+    # A1 of a grid against the algebra of one generic second-factor observable
+    u = random_unitary(rng, 6)
+    a1, _ = tps_to_tpp(tps_new(2, 3, u))
+    mu = np.arange(3) + rng.uniform(0.1, 0.4, size=3)
+    obs = u @ np.kron(np.eye(2), np.diag(mu)) @ u.conj().T
+    corpus.append(("incomplete", (a1, algebra_generate([obs])), {"dims_square"}))
+    b1, _ = tps_to_tpp(tps_new(2, 2, random_unitary(rng, 4)))
+    _, b2 = tps_to_tpp(tps_new(2, 2, random_unitary(rng, 4)))
+    corpus.append(("unrelated grids", (b1, b2), {"commute"}))
+    return corpus
+
+
+def test_is_tpp_matches_six_check_diagnostic():
+    for name, (a1, a2), must_fail in _parity_corpus():
+        got, full = is_tpp(a1, a2), _diagnose(a1, a2, DEFAULT_TOL)
+        assert (got.is_tpp, got.k, got.l, got.checks) == \
+            (full.is_tpp, full.k, full.l, full.checks), name
+        assert list(got.checks) == list(full.checks), name
+        failed = {check for check, ok in got.checks.items() if not ok}
+        assert must_fail <= failed and got.is_tpp == (not must_fail), name
+
+
+def _forbid(monkeypatch, *names):
+    def called(*args, **kwargs):
+        raise AssertionError("called on the certification fast path")
+    for name in names:
+        monkeypatch.setattr(tpskit.algebra, name, called)
+
+
+def test_certified_pair_needs_no_commutant_or_join(monkeypatch):
+    rng = np.random.default_rng(41)
+    t = tps_new(3, 4, random_unitary(rng, 12))
+    a1, a2 = tps_to_tpp(t)
+    _forbid(monkeypatch, "commutant", "join")
+    verdict = is_tpp(a1, a2)
+    assert verdict.is_tpp and (verdict.k, verdict.l) == (3, 4)
+    assert tps_equivalent(t, tpp_to_tps(a1, a2, seed=3)).equivalent
+
+
+def test_tpp_to_tps_does_not_call_is_tpp(monkeypatch):
+    rng = np.random.default_rng(42)
+    t = tps_new(2, 3, random_unitary(rng, 6))
+    a1, a2 = tps_to_tpp(t)
+    _forbid(monkeypatch, "is_tpp")
+    assert tps_equivalent(t, tpp_to_tps(a1, a2)).equivalent
+
+
+def test_tpp_to_tps_names_failing_checks():
+    diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
+    checks = is_tpp(diag, diag).checks
+    with pytest.raises(NotATpp) as err:
+        tpp_to_tps(diag, diag)
+    for name, ok in checks.items():
+        assert (name in str(err.value)) == (not ok), name
+
+
+def test_diagnostics_decide_when_no_witness_is_found(monkeypatch):
+    rng = np.random.default_rng(43)
+    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(rng, 4)))
+    monkeypatch.setattr(tpskit.algebra, "_witness", lambda *args: None)
+    verdict = is_tpp(a1, a2)
+    assert verdict.is_tpp and all(verdict.checks.values())
+    with pytest.raises(GenericElementFailure):
+        tpp_to_tps(a1, a2)
