@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, cluster_values, phase_fix
+from .core import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    cluster_values,
+    commutant_gram,
+    grid_from_fibers,
+    numeric_rank,
+    phase_fix,
+)
 from .errors import (
     DimensionMismatch,
     GenericElementFailure,
@@ -156,16 +165,7 @@ def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgeb
     eigenvalues are the squared singular values of the system.
     """
     n = a.dim_space
-    eye = np.eye(n, dtype=np.complex128)
-    span = a.span_basis
-    # gram of the stacked maps X -> gX - Xg acting on vec_col(X), assembled
-    # termwise: sum of (kron(I,g) - kron(g^T,I))* (kron(I,g) - kron(g^T,I))
-    s1 = np.einsum("gji,gjk->ik", span.conj(), span)          # sum g†g
-    s2 = np.einsum("gij,gkj->ik", span.conj(), span)          # sum (gg†)^T
-    c1 = np.einsum("gji,glk->ikjl", span, span.conj()).reshape(n * n, n * n)
-    c2 = np.einsum("gij,gkl->ikjl", span.conj(), span).reshape(n * n, n * n)
-    gram = np.kron(eye, s1) + np.kron(s2, eye) - c1 - c2
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = np.linalg.eigh(commutant_gram(a.span_basis))
     # the Gram spectrum carries eps * ||gram|| noise on exact zeros, so the
     # cutoff is relative to the top eigenvalue; accepted vectors are then
     # re-checked against the actual commutator residual
@@ -212,10 +212,7 @@ def contains(a: OperatorAlgebra, m, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra,
                       tol: Tolerance) -> int:
-    stacked = np.concatenate([a.flat, b.flat])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol.rank_rel * s[0])) if s.size else 0
-    return a.dim + b.dim - rank
+    return a.dim + b.dim - numeric_rank(np.concatenate([a.flat, b.flat]), tol)
 
 
 def _max_commutator(a1: OperatorAlgebra, a2: OperatorAlgebra) -> float:
@@ -250,11 +247,8 @@ def _hermitian_span(a: OperatorAlgebra, tol: Tolerance) -> np.ndarray:
     """Hermitian matrices spanning the algebra (real-linear basis)."""
     g = a.span_basis
     gh = np.transpose(g.conj(), (0, 2, 1))
-    cands = np.concatenate([(g + gh) / 2, (g - gh) / 2j])
-    flat = cands.reshape(cands.shape[0], -1)
-    _, s, vh = np.linalg.svd(flat, full_matrices=False)
-    keep = s > tol.rank_rel * s[0]
-    herm = vh[keep].reshape(-1, a.dim_space, a.dim_space)
+    herm = _orthonormal_span(np.concatenate([(g + gh) / 2, (g - gh) / 2j]),
+                             tol.rank_rel)
     # re-symmetrize: SVD mixing can introduce phases
     out = []
     for h in herm:
@@ -326,7 +320,7 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     Draws generic Hermitian elements r of a1 and t of a2, takes the
     eigenspace grid they induce, fixes the first fiber by the eigenbasis of r
     on the lowest t-eigenspace, and transports it to the remaining fibers by
-    algebra elements of a2 (one common rescaling per fiber).  The result is a
+    algebra elements of a2 (laid out by `grid_from_fibers`).  The result is a
     witness only if the pair it induces spans a1 and a2; it then implies all
     six checks of `_diagnose`.
     """
@@ -338,7 +332,6 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     if dims is None or not (_star_closed(a1) and _star_closed(a2)):
         return None
     k, l = dims
-    n = a1.dim_space
     herm2 = _hermitian_span(a2, tol)
     rng = np.random.default_rng(seed)
     drawn_r = _draw_with_clusters(_hermitian_span(a1, tol), k, l, rng, tol)
@@ -354,10 +347,8 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     _, rvecs0 = np.linalg.eigh((r0 + r0.conj().T) / 2)
     fiber0 = np.column_stack([phase_fix(p0 @ rvecs0[:, j]) for j in range(k)])
 
-    basis = np.zeros((n, n), dtype=np.complex128)
-    basis[:, [j * l for j in range(k)]] = fiber0
-    for i in range(1, l):
-        pi = projectors[i]
+    fibers = [fiber0]
+    for pi in projectors[1:]:
         for _ in range(16):
             b = _draw_generic_hermitian(herm2, rng)
             transported = pi @ (pi.conj().T @ (b @ fiber0))
@@ -365,13 +356,10 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
                 break
         else:
             return None
-        y0 = transported[:, 0]
-        p = int(np.argmax(np.abs(y0)))
-        scale = np.linalg.norm(y0) * (y0[p] / abs(y0[p]))
-        basis[:, [j * l + i for j in range(k)]] = transported / scale
+        fibers.append(transported)
 
     try:
-        out = tps_new(k, l, basis, tol)
+        out = tps_new(k, l, grid_from_fibers(fibers, axis=2), tol)
     except SingularBasis:
         return None
     b1, b2 = tps_to_tpp(out, tol)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -156,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tpskit",
         description="Tensor product structures and observable-relative "
                     "separability on finite-dimensional complex spaces.")
-    parser.add_argument("--seed", type=int,
-                        default=int(os.environ.get("TPSKIT_SEED", "0")),
-                        help="seed for any randomized construction")
     parser.add_argument("--tol", default=None,
                         help="override tolerances: eig=..,rank=..,res=..")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -146,15 +146,43 @@ def svd(m):
     return u, s, vh.conj().T
 
 
+def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Number of descending singular values above ``rank_rel`` times the
+    largest one."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+
+
 def numeric_rank(m, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above ``rank_rel`` times the largest one."""
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return singular_rank(np.linalg.svd(a, compute_uv=False), tol)
+
+
+def subspace_residual(p: np.ndarray, q: np.ndarray) -> float:
+    """``||p - q q† p||``: how far span(p) is from span(q), for orthonormal
+    columns q."""
+    return float(np.linalg.norm(p - q @ (q.conj().T @ p)))
+
+
+def commutant_gram(mats: np.ndarray) -> np.ndarray:
+    """Gram matrix of the stacked maps X -> gX - Xg over the given n x n
+    matrices, acting on vec_col(X).
+
+    Its null space is the joint commutant, and its eigenvalues are the
+    squared singular values of the stacked system.  Assembled termwise:
+    sum of (kron(I,g) - kron(g^T,I))† (kron(I,g) - kron(g^T,I)).
+    """
+    n = mats.shape[1]
+    eye = np.eye(n, dtype=np.complex128)
+    s1 = np.einsum("gji,gjk->ik", mats.conj(), mats)          # sum g†g
+    s2 = np.einsum("gij,gkj->ik", mats.conj(), mats)          # sum (gg†)^T
+    c1 = np.einsum("gji,glk->ikjl", mats, mats.conj()).reshape(n * n, n * n)
+    c2 = np.einsum("gij,gkl->ikjl", mats.conj(), mats).reshape(n * n, n * n)
+    return np.kron(eye, s1) + np.kron(s2, eye) - c1 - c2
 
 
 def complete_orthonormal(vs, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -192,3 +220,20 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     if abs(pivot) == 0.0:
         return v.copy()
     return v * (abs(pivot) / pivot)
+
+
+def grid_from_fibers(fibers, axis: int) -> np.ndarray:
+    """Grid basis (column j*l + i = cell (j, i)) laid out from fibers.
+
+    With axis=2 fiber i is an n x k matrix holding cell (j, i) in column j;
+    with axis=1 fiber j is n x l, holding cell (j, i) in column i.  Each
+    fiber is rescaled once so that its first column is a unit vector whose
+    largest-magnitude entry (lowest index on ties) is real positive.
+    """
+    scaled = []
+    for f in fibers:
+        y0 = f[:, 0]
+        p = int(np.argmax(np.abs(y0)))
+        scaled.append(f / (np.linalg.norm(y0) * (y0[p] / abs(y0[p]))))
+    grid = np.stack(scaled, axis=axis)
+    return grid.reshape(grid.shape[0], -1)

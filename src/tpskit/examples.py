@@ -11,7 +11,7 @@ import numpy as np
 
 from . import observables as obs
 from .algebra import contains, is_tpp, tps_to_tpp
-from .core import DEFAULT_TOL, Tolerance
+from .core import DEFAULT_TOL, Tolerance, subspace_residual
 from .poly import (
     change_of_variables,
     deformed_poly_tps,
@@ -55,11 +55,6 @@ def total_sz_squared() -> np.ndarray:
     return sz @ sz
 
 
-def _subspace_residual(p: np.ndarray, q: np.ndarray) -> float:
-    """How far span(p) is from span(q), both given as orthonormal columns."""
-    return float(np.linalg.norm(p - q @ (q.conj().T @ p)))
-
-
 def _require(ok: bool, message: str):
     if not ok:
         raise RuntimeError(f"example self-check failed: {message}")
@@ -101,10 +96,10 @@ def example_bell(tol: Tolerance = DEFAULT_TOL) -> dict:
     n1 = np.column_stack([states["psi_plus"], states["phi_plus"]])
     n2 = np.column_stack([states["psi_minus"], states["phi_minus"]])
     membership_residuals = {
-        "M1": _subspace_residual(m1, cs.M[0]),
-        "M2": _subspace_residual(m2, cs.M[1]),
-        "N1": _subspace_residual(n1, cs.N[0]),
-        "N2": _subspace_residual(n2, cs.N[1]),
+        "M1": subspace_residual(m1, cs.M[0]),
+        "M2": subspace_residual(m2, cs.M[1]),
+        "N1": subspace_residual(n1, cs.N[0]),
+        "N2": subspace_residual(n2, cs.N[1]),
     }
     for name, resid in membership_residuals.items():
         _require(resid <= 1e-10, f"characteristic subspace {name} off by {resid}")
@@ -213,7 +208,7 @@ def example_center_of_mass(d: int = 4, tol: Tolerance = DEFAULT_TOL) -> dict:
     monomial_residuals = []
     for i in range(d):
         coords = np.eye(d * d, dtype=np.complex128)[:, [j * d + i for j in range(d)]]
-        monomial_residuals.append(_subspace_residual(coords, cs.M[i]))
+        monomial_residuals.append(subspace_residual(coords, cs.M[i]))
     _require(max(monomial_residuals) <= 1e-10,
              "characteristic subspaces must be the monomial fibers")
 

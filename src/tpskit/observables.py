@@ -9,7 +9,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, cluster_values, phase_fix
+from .algebra import contains, tps_to_tpp
+from .core import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    cluster_values,
+    commutant_gram,
+    grid_from_fibers,
+    numeric_rank,
+    phase_fix,
+    subspace_residual,
+)
 from .errors import (
     DimensionMismatch,
     JointDegeneracy,
@@ -112,11 +123,10 @@ def verify_standard_complete(p: ObservablePair,
     match_tol = max(tol.eig_cluster * (spread + 1.0), 1e-8)
 
     grid = np.zeros((n, n), dtype=np.complex128)
-    rnorm = float(np.linalg.norm(p.r))
     for i, pi in enumerate(m_spaces):
         # r leaves each eigenspace of t invariant since [r, t] = 0
-        ri = pi.conj().T @ p.r @ pi
-        if np.linalg.norm(p.r @ pi - pi @ ri) > 1e-7 * (rnorm + 1):
+        ri = _restriction(p.r, pi, tol)
+        if ri is None:
             raise JointDegeneracy(
                 "eigenspace of t is not invariant under r within tolerance")
         if p.hermitian:
@@ -138,8 +148,7 @@ def verify_standard_complete(p: ObservablePair,
             vec = phase_fix(vec / np.linalg.norm(vec))
             grid[:, j * l + i] = vec
 
-    s = np.linalg.svd(grid, compute_uv=False)
-    if s[-1] <= tol.rank_rel * s[0]:
+    if numeric_rank(grid, tol) < n:
         raise JointDegeneracy("joint eigenvectors are not linearly independent")
     return CharacteristicSets(
         k=k, l=l,
@@ -185,13 +194,6 @@ def complementary_pair(p: ObservablePair, cs: CharacteristicSets,
     return observable_pair(r_tilde, p.t, tol)
 
 
-def _subspace_match(p: np.ndarray, q: np.ndarray, thresh: float) -> bool:
-    if p.shape != q.shape:
-        return False
-    resid = p - q @ (q.conj().T @ p)
-    return float(np.linalg.norm(resid)) <= thresh
-
-
 def _match_sets(spaces1: list, spaces2: list, thresh: float) -> bool:
     """Whether the two subspace families coincide as unordered sets."""
     if len(spaces1) != len(spaces2):
@@ -200,7 +202,8 @@ def _match_sets(spaces1: list, spaces2: list, thresh: float) -> bool:
     for p in spaces1:
         hit = None
         for idx in unused:
-            if _subspace_match(p, spaces2[idx], thresh):
+            q = spaces2[idx]
+            if q.shape == p.shape and subspace_residual(p, q) <= thresh:
                 hit = idx
                 break
         if hit is None:
@@ -220,13 +223,7 @@ def _restriction(op: np.ndarray, p: np.ndarray, tol: Tolerance):
 
 
 def _trivial_joint_commutant(mats: list, tol: Tolerance) -> bool:
-    d = mats[0].shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    gram = np.zeros((d * d, d * d), dtype=np.complex128)
-    for g in mats:
-        lg = np.kron(eye, g) - np.kron(g.T, eye)
-        gram += lg.conj().T @ lg
-    evals = np.linalg.eigvalsh(gram)
+    evals = np.linalg.eigvalsh(commutant_gram(np.array(mats)))
     # relative cutoff: exact zeros show up at the eps * ||gram|| noise floor
     cut = 1e-10 * max(float(evals[-1]), 1.0)
     null_dim = int(np.count_nonzero(evals <= cut))
@@ -248,8 +245,7 @@ def _intertwiner(pair_i: tuple, pair_0: tuple, tol: Tolerance):
     null = vh[s <= tol.rank_rel * smax].conj()
     for vec in null:
         x = vec.reshape(d, d, order="F")
-        sv = np.linalg.svd(x, compute_uv=False)
-        if sv[-1] > tol.rank_rel * sv[0]:
+        if numeric_rank(x, tol) == d:
             return x
     return None
 
@@ -259,9 +255,9 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
     """Evaluate one arm of the complementarity test.
 
     op1/op2 are restricted along the shared subspace family; returns
-    (restrictions of op1, intertwiners to the first subspace) or None.
+    (restriction of op1 to the first subspace, intertwiners to the first
+    subspace) or None.
     """
-    firsts, intertwiners = [], []
     restr = []
     for p in spaces:
         a = _restriction(op1, p, tol)
@@ -271,17 +267,13 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
         if not _trivial_joint_commutant([a, b], tol):
             return None
         restr.append((a, b))
-    for idx, (a, b) in enumerate(restr):
-        if idx == 0:
-            d = a.shape[0]
-            intertwiners.append(np.eye(d, dtype=np.complex128))
-        else:
-            x = _intertwiner((a, b), restr[0], tol)
-            if x is None:
-                return None
-            intertwiners.append(x)
-        firsts.append(a)
-    return firsts, intertwiners
+    intertwiners = [np.eye(restr[0][0].shape[0], dtype=np.complex128)]
+    for pair in restr[1:]:
+        x = _intertwiner(pair, restr[0], tol)
+        if x is None:
+            return None
+        intertwiners.append(x)
+    return restr[0][0], intertwiners
 
 
 def _complementary_data(p1: ObservablePair, p2: ObservablePair,
@@ -312,59 +304,27 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     """The unique factor pair containing both complementary pairs, plus the
     grid structure it induces.
 
-    Transports the eigenbasis of the first fiber through the (unique up to
-    scale) intertwiners, fixing the free scalar per fiber by the global
-    phase convention.
+    Takes the eigenbasis of the first operator restricted to the first
+    shared subspace, each vector phase-fixed, and transports it to the other
+    subspaces of the family through the (unique up to scale) intertwiners.
+    `grid_from_fibers` fixes the free scalar per fiber and lays the fibers
+    out: an M family holds cells (j, i) at fixed i, an N family at fixed j.
     """
     data = _complementary_data(p1, p2, tol)
     if data is None:
         raise NotComplementary("pairs are not complementary")
-    mode, cs, (firsts, intertwiners) = data
-    n = p1.r.shape[0]
-    if mode == "M":
-        spaces = cs.M
-        fiber_dim = cs.k
-        count = cs.l
-    else:
-        spaces = cs.N
-        fiber_dim = cs.l
-        count = cs.k
+    mode, cs, (a0, intertwiners) = data
+    spaces = cs.M if mode == "M" else cs.N
 
-    a0 = firsts[0]
     fvals, fvecs = np.linalg.eig(a0)
-    order = np.lexsort((fvals.imag, fvals.real))
-    coords0 = []
     p0 = spaces[0]
-    for j in order:
-        vec = p0 @ fvecs[:, j]
-        vec = phase_fix(vec / np.linalg.norm(vec))
-        coords0.append(p0.conj().T @ vec)
+    vecs0 = [p0 @ fvecs[:, j] for j in np.lexsort((fvals.imag, fvals.real))]
+    coords0 = np.column_stack(
+        [p0.conj().T @ phase_fix(v / np.linalg.norm(v)) for v in vecs0])
+    fibers = [p @ (x @ coords0) for p, x in zip(spaces, intertwiners)]
+    basis = grid_from_fibers(fibers, axis=2 if mode == "M" else 1)
 
-    fibers = []
-    for idx in range(count):
-        pi = spaces[idx]
-        cols = [pi @ (intertwiners[idx] @ c) for c in coords0]
-        y0 = cols[0]
-        mags = np.abs(y0)
-        piv = int(np.argmax(mags))
-        scale = np.linalg.norm(y0) * (y0[piv] / abs(y0[piv]))
-        fibers.append([c / scale for c in cols])
-
-    basis = np.zeros((n, n), dtype=np.complex128)
-    if mode == "M":
-        k, l = fiber_dim, count
-        for i in range(count):
-            for j in range(fiber_dim):
-                basis[:, j * l + i] = fibers[i][j]
-    else:
-        k, l = count, fiber_dim
-        for j in range(count):
-            for i in range(fiber_dim):
-                basis[:, j * l + i] = fibers[j][i]
-
-    structure = tps_new(k, l, basis, tol)
-    from .algebra import contains, tps_to_tpp
-
+    structure = tps_new(cs.k, cs.l, basis, tol)
     a1, a2 = tps_to_tpp(structure, tol)
     for op, alg, name in ((p1.r, a1, "r1"), (p2.r, a1, "r2"),
                           (p1.t, a2, "t1"), (p2.t, a2, "t2")):

@@ -4,7 +4,6 @@ make one prescribed state separable (or entangled) by construction."""
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, complete_orthonormal
 from .errors import (
@@ -48,14 +47,27 @@ def tps_making_basis_product(basis, k: int, l: int,
 
 
 def _complete_columns(cols: np.ndarray, n: int) -> np.ndarray:
-    """Extend linearly independent columns to an invertible n x n matrix by
-    appending the best-conditioned standard basis vectors (column-pivoted)."""
-    m = cols.shape[1]
-    cand = np.hstack([cols, np.eye(n, dtype=np.complex128)])
-    _, _, piv = scipy.linalg.qr(cand, pivoting=True)
-    chosen = [p for p in piv if p >= m][: n - m]
+    """Extend linearly independent columns to an invertible n x n matrix.
+
+    Keeps the given columns first and appends standard basis vectors in
+    index order.  They are picked greedily: each time the one with the
+    largest residual against the span so far (ties to the lowest index), so
+    the choice depends on the directions of the columns, not their scale.
+    """
+    q, _ = np.linalg.qr(cols)
+    eye = np.eye(n, dtype=np.complex128)
+    # projector onto the complement of the span so far: its column p is the
+    # residual of e_p, with squared norm resid[p, p]
+    resid = eye - q @ q.conj().T
+    chosen = []
+    for _ in range(n - cols.shape[1]):
+        d = resid.diagonal().real
+        p = int(np.argmax(d))
+        chosen.append(p)
+        v = resid[:, p] / np.sqrt(d[p])
+        resid -= np.outer(v, v.conj())
     chosen.sort()
-    return np.hstack([cols, cand[:, chosen]])
+    return np.hstack([cols, eye[:, chosen]])
 
 
 def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,

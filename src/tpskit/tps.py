@@ -18,6 +18,7 @@ from .core import (
     as_matrix,
     as_vector,
     numeric_rank,
+    singular_rank,
     svd,
 )
 from .errors import DimensionMismatch, SingularBasis, ZeroState
@@ -59,8 +60,7 @@ def tps_new(k: int, l: int, basis, tol: Tolerance = DEFAULT_TOL) -> Tps:
         raise DimensionMismatch("factor dimensions must be >= 1")
     n = k * l
     b = as_matrix(basis, rows=n, cols=n)
-    s = np.linalg.svd(b, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol.rank_rel * s[0]:
+    if numeric_rank(b, tol) < n:
         raise SingularBasis("basis matrix is numerically singular")
     return Tps(dim=n, k=k, l=l, basis=b.copy())
 
@@ -90,7 +90,7 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
         raise ZeroState("cannot classify the zero vector")
     c = coefficient_matrix(v, t, tol)
     u, s, vr = svd(c)
-    r = numeric_rank(c, tol)
+    r = singular_rank(s, tol)
     return SchmidtReport(
         rank=r,
         coefficients=s[:r].copy(),

@@ -227,3 +227,24 @@ def test_diagnostics_decide_when_no_witness_is_found(monkeypatch):
     assert verdict.is_tpp and all(verdict.checks.values())
     with pytest.raises(GenericElementFailure):
         tpp_to_tps(a1, a2)
+
+
+def test_svd_fallback_gives_the_same_span(monkeypatch):
+    # the first SVD fails to converge, so that span is found by gesvd
+    rng = np.random.default_rng(44)
+    t = tps_new(2, 3, random_invertible(rng, 6))
+    expected = tps_to_tpp(t)
+    svd, calls = np.linalg.svd, []
+
+    def fails_once(*args, **kwargs):
+        calls.append(args[0].shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    got = tps_to_tpp(t)
+    assert len(calls) == 2
+    for a, b in zip(got, expected):
+        assert a.dim == b.dim and a.unital
+        assert span_equal(a, b)

@@ -150,3 +150,18 @@ def test_same_pair_different_completions_equivalent():
     p2 = complementary_pair(p1, cs)
     _, _, via_complement = tpp_from_complementary(p1, p2)
     assert tps_equivalent(direct, via_complement).equivalent
+
+
+def test_tpp_from_complementary_shared_r_eigenspaces():
+    # p2 keeps r and chains t, so the pairs share the eigenspaces of r
+    rng = np.random.default_rng(48)
+    r, t = random_standard_pair(rng, 2, 3)
+    p1 = observable_pair(r, t)
+    swapped = observable_pair(t, r)
+    p2 = observable_pair(
+        r, complementary_pair(swapped, verify_standard_complete(swapped)).r)
+    a1, a2, tps = tpp_from_complementary(p1, p2)
+    assert tps.shape == (2, 3)
+    assert contains(a1, p1.r) and contains(a1, p2.r)
+    assert contains(a2, p1.t) and contains(a2, p2.t)
+    assert tps_equivalent(tps_from_observables(p1), tps).equivalent

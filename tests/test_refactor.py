@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tpskit
 from tpskit import (
     dual_verdict,
     is_inner_product_compatible,
@@ -105,3 +110,26 @@ def test_entangle_needs_both_factors():
 def test_zero_state_rejected():
     with pytest.raises(ZeroState):
         tps_making_state_product(np.zeros(4), 2, 2)
+
+
+def test_non_orthonormal_verdicts_survive_rescaling():
+    # the completing coordinate vectors depend on the state's direction
+    # only, so rescaled and coordinate-aligned states still get a basis
+    rng = np.random.default_rng(56)
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        n = k * l
+        w = random_state(rng, n)
+        aligned = (np.eye(n)[0] + np.eye(n)[1]) / np.sqrt(2)
+        for v in (w, 1e-3 * w, 1e3 * w, aligned):
+            assert schmidt(v, tps_making_state_product(v, k, l)).rank == 1
+            assert schmidt(v, tps_making_state_entangled(v, k, l)).rank == 2
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter importing the same tpskit this suite imports
+    src = os.path.dirname(os.path.dirname(tpskit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, tpskit; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
