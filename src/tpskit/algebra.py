@@ -24,8 +24,8 @@ from .core import (
     Tolerance,
     as_matrix,
     cluster_values,
-    commutant_gram,
     grid_from_fibers,
+    intertwiners,
     numeric_rank,
     phase_fix,
 )
@@ -160,24 +160,14 @@ def _from_closed_span(mats: np.ndarray, n: int, tol: Tolerance) -> OperatorAlgeb
 def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     """All matrices commuting with every span element, as a unital algebra.
 
-    Solves the stacked linear system X -> gX - Xg over the span basis; the
-    null space is found through the Gram matrix of the stacked map, whose
-    eigenvalues are the squared singular values of the system.
+    The null space of X -> gX - Xg over the span basis comes from
+    `intertwiners`; accepted vectors are then re-checked against the actual
+    commutator residual.
     """
     n = a.dim_space
-    evals, evecs = np.linalg.eigh(commutant_gram(a.span_basis))
-    # the Gram spectrum carries eps * ||gram|| noise on exact zeros, so the
-    # cutoff is relative to the top eigenvalue; accepted vectors are then
-    # re-checked against the actual commutator residual
-    cut = 1e-12 * max(float(evals[-1]), 1.0)
-    mats = []
-    for i in np.nonzero(evals <= cut)[0]:
-        x = evecs[:, i].reshape(n, n, order="F")
-        resid = max(
-            float(np.linalg.norm(g @ x - x @ g)) for g in a.span_basis
-        )
-        if resid <= 1e-7:
-            mats.append(x)
+    mats = [x for x in intertwiners(a.span_basis, a.span_basis, 1e-12)
+            if max(float(np.linalg.norm(g @ x - x @ g))
+                   for g in a.span_basis) <= 1e-7]
     mats = np.array(mats) if mats else np.zeros((0, n, n), dtype=np.complex128)
     return _from_closed_span(mats, n, tol)
 
@@ -250,11 +240,9 @@ def _hermitian_span(a: OperatorAlgebra, tol: Tolerance) -> np.ndarray:
     herm = _orthonormal_span(np.concatenate([(g + gh) / 2, (g - gh) / 2j]),
                              tol.rank_rel)
     # re-symmetrize: SVD mixing can introduce phases
-    out = []
-    for h in herm:
-        out.append((h + h.conj().T) / 2)
-        out.append((h - h.conj().T) / 2j)
-    stack = np.array(out)
+    herm_h = np.transpose(herm.conj(), (0, 2, 1))
+    stack = np.stack([(herm + herm_h) / 2, (herm - herm_h) / 2j], axis=1)
+    stack = stack.reshape(-1, *herm.shape[1:])
     norms = np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
     return stack[norms > 1e-10]
 

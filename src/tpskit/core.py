@@ -81,35 +81,24 @@ def cluster_values(values: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     n = values.size
     if n == 0:
         return []
-    spread = 0.0
-    if n > 1:
-        spread = float(np.max(np.abs(values[:, None] - values[None, :])))
+    dist = np.abs(values[:, None] - values[None, :])
+    spread = float(np.max(dist))
     threshold = tol.eig_cluster * (spread + 1.0)
 
     order = np.lexsort((values.imag, values.real)) if np.iscomplexobj(values) \
         else np.argsort(values)
-    # union-find on pairwise proximity; n is small everywhere in this library
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(values[a] - values[b]) <= threshold:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-
+    # single linkage: square the proximity relation (reflexive, so each
+    # squaring doubles the path length) until it is transitively closed, then
+    # label each value by the lowest index it reaches
+    links, reach = 0, dist <= threshold
+    while (grown := np.count_nonzero(reach)) != links:
+        links, reach = grown, reach @ reach
+    labels = np.argmax(reach, axis=1).tolist()
+    # clusters in order of their first member along the sort order
     groups: dict[int, list[int]] = {}
-    for i in order:
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(idx) for idx in groups.values()]
-    clusters.sort(key=lambda idx: (values[idx[0]].real, values[idx[0]].imag))
-    return clusters
+    for i in order.tolist():
+        groups.setdefault(labels[i], []).append(i)
+    return [np.array(idx) for idx in groups.values()]
 
 
 def hermitian_eigendecompose(m, tol: Tolerance = DEFAULT_TOL):
@@ -168,21 +157,30 @@ def subspace_residual(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(p - q @ (q.conj().T @ p)))
 
 
-def commutant_gram(mats: np.ndarray) -> np.ndarray:
-    """Gram matrix of the stacked maps X -> gX - Xg over the given n x n
-    matrices, acting on vec_col(X).
+def intertwiners(lefts, rights, cut: float) -> np.ndarray:
+    """Frobenius-orthonormal basis of {X : L X = X R for every pair (L, R)}.
 
-    Its null space is the joint commutant, and its eigenvalues are the
-    squared singular values of the stacked system.  Assembled termwise:
-    sum of (kron(I,g) - kron(g^T,I))† (kron(I,g) - kron(g^T,I)).
+    ``lefts`` holds m x m matrices and ``rights`` the matching n x n ones;
+    the result has shape (dim, m, n).  With lefts = rights this is the joint
+    commutant.  The null space is that of the Gram matrix of the stacked map
+    vec_col(X) -> (kron(I, L) - kron(R^T, I)) vec_col(X), assembled termwise
+    as kron(I, sum L†L) + kron(sum (R R†)^T, I) - sum kron(R^T, L†)
+    - sum kron(conj(R), L); its eigenvalues are the squared singular values of
+    the stacked system.  They carry eps * ||gram|| noise on exact zeros, so
+    eigenvalues up to ``cut`` times max(top eigenvalue, 1) count as zero.
     """
-    n = mats.shape[1]
-    eye = np.eye(n, dtype=np.complex128)
-    s1 = np.einsum("gji,gjk->ik", mats.conj(), mats)          # sum g†g
-    s2 = np.einsum("gij,gkj->ik", mats.conj(), mats)          # sum (gg†)^T
-    c1 = np.einsum("gji,glk->ikjl", mats, mats.conj()).reshape(n * n, n * n)
-    c2 = np.einsum("gij,gkl->ikjl", mats.conj(), mats).reshape(n * n, n * n)
-    return np.kron(eye, s1) + np.kron(s2, eye) - c1 - c2
+    ls = np.asarray(lefts, dtype=np.complex128)
+    rs = np.asarray(rights, dtype=np.complex128)
+    m, n = ls.shape[1], rs.shape[1]
+    s1 = np.einsum("gji,gjk->ik", ls.conj(), ls)
+    s2 = np.einsum("gij,gkj->ik", rs.conj(), rs)
+    c1 = np.einsum("gji,glk->ikjl", rs, ls.conj()).reshape(n * m, n * m)
+    c2 = np.einsum("gij,gkl->ikjl", rs.conj(), ls).reshape(n * m, n * m)
+    gram = (np.kron(np.eye(n, dtype=np.complex128), s1)
+            + np.kron(s2, np.eye(m, dtype=np.complex128)) - c1 - c2)
+    evals, evecs = np.linalg.eigh(gram)
+    null = evecs[:, evals <= cut * max(float(evals[-1]), 1.0)]
+    return null.T.reshape(-1, n, m).transpose(0, 2, 1)
 
 
 def complete_orthonormal(vs, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -21,6 +21,7 @@ from .poly import (
 )
 from .serialize import matrix_to_json, schmidt_to_json
 from .tps import (
+    coefficient_matrix,
     god_given,
     is_inner_product_compatible,
     is_product,
@@ -164,9 +165,7 @@ def example_bargmann(d: int = 3, tol: Tolerance = DEFAULT_TOL) -> dict:
     _require(plain_report.rank == 1, "state must factor over the plain grid")
     _require(deformed_report.rank == 2, "state must entangle over the deformed grid")
 
-    from .tps import coefficient_matrix
-
-    deformed_c = coefficient_matrix(w, deformed, tol)
+    deformed_c = coefficient_matrix(w, deformed)
     equiv = tps_equivalent(plain, deformed, tol)
 
     return {

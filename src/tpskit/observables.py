@@ -1,6 +1,11 @@
 """Commuting operator pairs whose joint eigenspaces form a one-dimensional
 k-by-l grid, the TPS they induce, and complementary pairs that pin a factor
 pair down uniquely.
+
+Complementarity is two instances of one linear problem, solved by
+`core.intertwiners`: the restricted pairs act irreducibly on each shared
+subspace (their joint commutant is the scalars) and isomorphically across
+subspaces (an invertible intertwiner maps the first fiber to each other one).
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from .core import (
     Tolerance,
     as_matrix,
     cluster_values,
-    commutant_gram,
     grid_from_fibers,
+    intertwiners,
     numeric_rank,
     phase_fix,
     subspace_residual,
@@ -222,29 +227,19 @@ def _restriction(op: np.ndarray, p: np.ndarray, tol: Tolerance):
     return sub
 
 
-def _trivial_joint_commutant(mats: list, tol: Tolerance) -> bool:
-    evals = np.linalg.eigvalsh(commutant_gram(np.array(mats)))
-    # relative cutoff: exact zeros show up at the eps * ||gram|| noise floor
-    cut = 1e-10 * max(float(evals[-1]), 1.0)
-    null_dim = int(np.count_nonzero(evals <= cut))
-    return null_dim == 1
+def _trivial_joint_commutant(mats: list) -> bool:
+    return len(intertwiners(mats, mats, 1e-10)) == 1
 
 
 def _intertwiner(pair_i: tuple, pair_0: tuple, tol: Tolerance):
-    """Invertible X with A_i X = X A_0 and B_i X = X B_0, or None."""
-    a_i, b_i = pair_i
-    a_0, b_0 = pair_0
-    d = a_i.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    stacked = np.vstack([
-        np.kron(eye, a_i) - np.kron(a_0.T, eye),
-        np.kron(eye, b_i) - np.kron(b_0.T, eye),
-    ])
-    _, s, vh = np.linalg.svd(stacked)
-    smax = max(float(s[0]), 1.0)
-    null = vh[s <= tol.rank_rel * smax].conj()
-    for vec in null:
-        x = vec.reshape(d, d, order="F")
+    """Invertible X with A_i X = X A_0 and B_i X = X B_0, or None.
+
+    Both pairs act irreducibly, so the solution space has at most one
+    dimension (Schur's lemma) and its nonzero elements are invertible exactly
+    when the pairs are isomorphic.
+    """
+    d = pair_0[0].shape[0]
+    for x in intertwiners(pair_i, pair_0, 1e-12):
         if numeric_rank(x, tol) == d:
             return x
     return None
@@ -264,16 +259,16 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
         b = _restriction(op2, p, tol)
         if a is None or b is None:
             return None
-        if not _trivial_joint_commutant([a, b], tol):
+        if not _trivial_joint_commutant([a, b]):
             return None
         restr.append((a, b))
-    intertwiners = [np.eye(restr[0][0].shape[0], dtype=np.complex128)]
+    fiber_maps = [np.eye(restr[0][0].shape[0], dtype=np.complex128)]
     for pair in restr[1:]:
         x = _intertwiner(pair, restr[0], tol)
         if x is None:
             return None
-        intertwiners.append(x)
-    return restr[0][0], intertwiners
+        fiber_maps.append(x)
+    return restr[0][0], fiber_maps
 
 
 def _complementary_data(p1: ObservablePair, p2: ObservablePair,
@@ -313,7 +308,7 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     data = _complementary_data(p1, p2, tol)
     if data is None:
         raise NotComplementary("pairs are not complementary")
-    mode, cs, (a0, intertwiners) = data
+    mode, cs, (a0, fiber_maps) = data
     spaces = cs.M if mode == "M" else cs.N
 
     fvals, fvecs = np.linalg.eig(a0)
@@ -321,7 +316,7 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     vecs0 = [p0 @ fvecs[:, j] for j in np.lexsort((fvals.imag, fvals.real))]
     coords0 = np.column_stack(
         [p0.conj().T @ phase_fix(v / np.linalg.norm(v)) for v in vecs0])
-    fibers = [p @ (x @ coords0) for p, x in zip(spaces, intertwiners)]
+    fibers = [p @ (x @ coords0) for p, x in zip(spaces, fiber_maps)]
     basis = grid_from_fibers(fibers, axis=2 if mode == "M" else 1)
 
     structure = tps_new(cs.k, cs.l, basis, tol)

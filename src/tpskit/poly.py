@@ -57,7 +57,6 @@ def _substitute(p: PolyState, subs: dict, target_vars, target_degree: int) -> Po
     d = int(target_degree)
     a1, b1 = subs[p.variables[0]]
     a2, b2 = subs[p.variables[1]]
-    acc: dict[tuple[int, int], complex] = {}
     rat: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
     for j in range(p.max_degree):
         for i in range(p.max_degree):

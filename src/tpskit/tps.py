@@ -71,7 +71,7 @@ def god_given(k: int, l: int) -> Tps:
     return Tps(dim=n, k=k, l=l, basis=np.eye(n, dtype=np.complex128))
 
 
-def coefficient_matrix(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def coefficient_matrix(w, t: Tps) -> np.ndarray:
     """k-by-l matrix C with ``t.basis @ vec(C) = w`` (vec in j*l+i order)."""
     v = as_vector(w, n=t.dim)
     c = np.linalg.solve(t.basis, v)
@@ -88,7 +88,7 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     v = as_vector(w, n=t.dim)
     if np.linalg.norm(v) <= tol.residual:
         raise ZeroState("cannot classify the zero vector")
-    c = coefficient_matrix(v, t, tol)
+    c = coefficient_matrix(v, t)
     u, s, vr = svd(c)
     r = singular_rank(s, tol)
     return SchmidtReport(
@@ -113,10 +113,7 @@ def is_inner_product_compatible(t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def swap_factors(t: Tps) -> Tps:
     """Exchange the two factors: shape (l, k), cell (i, j) <- cell (j, i)."""
-    perm = np.empty(t.dim, dtype=int)
-    for j in range(t.k):
-        for i in range(t.l):
-            perm[i * t.k + j] = j * t.l + i
+    perm = np.arange(t.dim).reshape(t.k, t.l).T.reshape(-1)
     return Tps(dim=t.dim, k=t.l, l=t.k, basis=t.basis[:, perm].copy())
 
 

@@ -15,7 +15,7 @@ from tpskit import (
     tps_new,
     tps_to_tpp,
 )
-from tpskit.algebra import OperatorAlgebra, _diagnose, contains
+from tpskit.algebra import OperatorAlgebra, _diagnose, _hermitian_span, contains
 from tpskit.core import DEFAULT_TOL
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
@@ -248,3 +248,19 @@ def test_svd_fallback_gives_the_same_span(monkeypatch):
     for a, b in zip(got, expected):
         assert a.dim == b.dim and a.unital
         assert span_equal(a, b)
+
+
+def test_hermitian_span_interleaves_parts():
+    # each orthonormal direction h contributes (h + h†)/2, then (h - h†)/2i
+    rng = np.random.default_rng(31)
+    a1, _ = tps_to_tpp(tps_new(2, 3, random_invertible(rng, 6)))
+    g = a1.span_basis
+    gh = np.transpose(g.conj(), (0, 2, 1))
+    herm = tpskit.algebra._orthonormal_span(
+        np.concatenate([(g + gh) / 2, (g - gh) / 2j]), DEFAULT_TOL.rank_rel)
+    parts = []
+    for h in herm:
+        parts += [(h + h.conj().T) / 2, (h - h.conj().T) / 2j]
+    parts = np.array(parts)
+    keep = np.linalg.norm(parts.reshape(len(parts), -1), axis=1) > 1e-10
+    assert np.array_equal(_hermitian_span(a1, DEFAULT_TOL), parts[keep])

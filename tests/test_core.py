@@ -9,6 +9,7 @@ from tpskit.core import (
     cluster_values,
     complete_orthonormal,
     hermitian_eigendecompose,
+    intertwiners,
     numeric_rank,
     phase_fix,
     svd,
@@ -101,6 +102,99 @@ def test_cluster_values_complex():
     vals = np.array([1 + 1j, 1 + 1j + 1e-13, -1.0 + 0j])
     groups = cluster_values(vals, DEFAULT_TOL)
     assert sorted(len(g) for g in groups) == [1, 2]
+
+
+def test_cluster_values_links_chains():
+    # neighbours 1.8e-8 apart under a 2e-8 threshold: only the closure of
+    # the proximity relation joins the ends of the chain
+    vals = np.array([5.4e-8, 1.0, 0.0, 7.2e-8, 1.8e-8, 3.6e-8])
+    groups = cluster_values(vals, DEFAULT_TOL)
+    assert [g.tolist() for g in groups] == [[2, 4, 5, 0, 3], [1]]
+
+
+def _cluster_by_union_find(values, tol):
+    """Reference single linkage: pairwise union-find, clusters in order of
+    their first member along the (re, im) sort order."""
+    n = values.size
+    dist = np.abs(values[:, None] - values[None, :])
+    threshold = tol.eig_cluster * (float(np.max(dist)) + 1.0)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if dist[a, b] <= threshold:
+                parent[find(a)] = find(b)
+    groups = {}
+    for i in np.lexsort((values.imag, values.real)):
+        groups.setdefault(find(i), []).append(int(i))
+    return list(groups.values())
+
+
+def test_cluster_values_matches_union_find():
+    rng = np.random.default_rng(9)
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        if trial % 3 == 0:
+            vals = np.round(rng.normal(size=n), 1) + 1e-12 * rng.normal(size=n)
+        elif trial % 3 == 1:
+            vals = np.round(rng.normal(size=n) + 1j * rng.normal(size=n), 1)
+        else:  # chains whose steps straddle the gap threshold
+            vals = rng.permutation(np.cumsum(rng.choice([5e-9, 2e-8, 1.0], size=n)))
+        tol = Tolerance(eig_cluster=float(rng.choice([1e-8, 1e-2])))
+        got = [g.tolist() for g in cluster_values(vals, tol)]
+        assert got == _cluster_by_union_find(vals, tol)
+
+
+def _assert_frobenius_orthonormal(xs):
+    flat = xs.reshape(xs.shape[0], -1)
+    assert np.linalg.norm(flat.conj() @ flat.T - np.eye(len(xs))) <= 1e-12
+
+
+def test_intertwiners_commutant_of_diagonal():
+    d = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    xs = intertwiners([d], [d], 1e-12)
+    assert xs.shape == (3, 3, 3)
+    _assert_frobenius_orthonormal(xs)
+    for x in xs:
+        assert np.linalg.norm(x - np.diag(np.diagonal(x))) <= 1e-12
+
+
+def test_intertwiners_of_conjugate_irreducible_pairs():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4):
+        # two generic matrices act irreducibly on C^n
+        rights = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                  for _ in range(2)]
+        s = random_invertible(rng, n)
+        lefts = [s @ r @ np.linalg.inv(s) for r in rights]
+        xs = intertwiners(lefts, rights, 1e-12)
+        assert xs.shape == (1, n, n)
+        x = xs[0]
+        overlap = abs(np.vdot(s, x)) / np.linalg.norm(s)
+        assert abs(overlap - 1.0) <= 1e-10
+
+
+def test_intertwiners_of_different_spectra():
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert intertwiners([a, b], [a + 10 * np.eye(3), b], 1e-12).shape == (0, 3, 3)
+
+
+def test_intertwiners_between_different_dimensions():
+    # X (2 x 3) maps the eigenvectors of the right operator to those of the
+    # left one with the same eigenvalue: entries (0, 0) and (1, 1)
+    xs = intertwiners([np.diag([1.0, 2.0])], [np.diag([1.0, 2.0, 5.0])], 1e-12)
+    assert xs.shape == (2, 2, 3)
+    _assert_frobenius_orthonormal(xs)
+    mask = np.zeros((2, 3), dtype=bool)
+    mask[0, 0] = mask[1, 1] = True
+    assert np.max(np.abs(xs[:, ~mask])) <= 1e-12
 
 
 def test_phase_fix():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import tpskit.observables
+
 from tpskit import (
     complementary_pair,
     is_inner_product_compatible,
@@ -165,3 +167,32 @@ def test_tpp_from_complementary_shared_r_eigenspaces():
     assert contains(a1, p1.r) and contains(a1, p2.r)
     assert contains(a2, p1.t) and contains(a2, p2.t)
     assert tps_equivalent(tps_from_observables(p1), tps).equivalent
+
+
+def test_non_isomorphic_fibers_fail_at_the_intertwiner(monkeypatch):
+    # p2 keeps t; r2 is the chained operator on the first t-eigenspace and
+    # its transpose on the others, so r and r2 act irreducibly on every
+    # t-eigenspace but differently on the first one and the rest
+    rng = np.random.default_rng(49)
+    for k, l in ((2, 2), (3, 2), (2, 3)):
+        r, t = random_standard_pair(rng, k, l)
+        p1 = observable_pair(r, t)
+        cs = verify_standard_complete(p1)
+        km = _chain_matrix(cs.r_eigenvalues.astype(complex))
+        block = np.zeros((k * l, k * l), dtype=complex)
+        for i in range(l):  # cells (j, i) of one t-eigenspace sit at j*l + i
+            block[i::l, i::l] = km if i == 0 else km.T
+        p2 = observable_pair(cs.grid @ block @ np.linalg.inv(cs.grid), t)
+        assert verify_standard_complete(p2).k == k
+
+        found = []
+        intertwiner = tpskit.observables._intertwiner
+
+        def spy(*args):
+            found.append(intertwiner(*args))
+            return found[-1]
+
+        monkeypatch.setattr(tpskit.observables, "_intertwiner", spy)
+        assert not verify_complementary(p1, p2)
+        assert found and found[0] is None
+        monkeypatch.undo()

@@ -120,6 +120,17 @@ def test_swap_factors_involution():
     assert schmidt(w, t).rank == schmidt(w, swap_factors(t)).rank
 
 
+def test_swap_factors_moves_cells():
+    rng = np.random.default_rng(21)
+    for k, l in ((2, 3), (3, 2), (1, 4), (3, 3)):
+        t = tps_new(k, l, random_invertible(rng, k * l))
+        s = swap_factors(t)
+        assert s.shape == (l, k)
+        for j in range(k):
+            for i in range(l):
+                assert np.array_equal(s.basis[:, i * k + j], t.basis[:, j * l + i])
+
+
 def test_equivalence_reflexive_symmetric():
     rng = np.random.default_rng(17)
     t1 = tps_new(2, 2, random_invertible(rng, 4))
