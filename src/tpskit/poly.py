@@ -4,7 +4,6 @@ grid structures on them, and the exact center-of-mass change of variables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -35,9 +34,11 @@ def poly_state(variables, max_degree: int, coeffs) -> PolyState:
     d = int(max_degree)
     if d < 1:
         raise ValueError("max_degree must be >= 1")
+    names = (str(variables[0]), str(variables[1]))
+    if names[0] == names[1]:
+        raise ValueError("the two variables must have different names")
     c = as_matrix(coeffs, rows=d, cols=d)
-    return PolyState(variables=(str(variables[0]), str(variables[1])),
-                     max_degree=d, coeffs=c.copy())
+    return PolyState(variables=names, max_degree=d, coeffs=c.copy())
 
 
 def monomial(variables, max_degree: int, j: int, i: int,
@@ -47,43 +48,57 @@ def monomial(variables, max_degree: int, j: int, i: int,
     return poly_state(variables, max_degree, c)
 
 
-def _substitute(p: PolyState, subs: dict, target_vars, target_degree: int) -> PolyState:
+def _substitute(p: PolyState, subs, den: int, target_vars,
+                target_degree: int) -> PolyState:
     """Exact linear change of variables.
 
-    ``subs`` maps each old variable to rational coefficients (a, b) meaning
-    old = a*new1 + b*new2.  Expansion is done in rational arithmetic; the
-    result is rounded to float64 at the very end.
+    ``subs`` holds one pair of nonzero integers (a, b) per old variable, in
+    the order of ``p.variables``, meaning old = (a*new1 + b*new2) / den.
+    Every float part of the input is a dyadic rational, so all parts are
+    scaled to integers over one power-of-two denominator ``big``.  A term of
+    total degree s lands on a cell (a, s - a), so every contribution to that
+    cell is an integer over ``big * den**s``: the cells are summed exactly in
+    Python ints and each nonzero cell is rounded to float64 once, by
+    correctly rounded int/int division.  A cell outside the target grid that
+    is nonzero after the exact sum raises GridOverflow.
     """
-    d = int(target_degree)
-    a1, b1 = subs[p.variables[0]]
-    a2, b2 = subs[p.variables[1]]
-    rat: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-    for j in range(p.max_degree):
-        for i in range(p.max_degree):
-            c = p.coeffs[j, i]
-            if c == 0:
-                continue
-            cre, cim = Fraction(c.real), Fraction(c.imag)
-            for pj in range(j + 1):
-                for qi in range(i + 1):
-                    coef = (
-                        Fraction(comb(j, pj)) * a1 ** pj * b1 ** (j - pj)
-                        * Fraction(comb(i, qi)) * a2 ** qi * b2 ** (i - qi)
-                    )
-                    if coef == 0:
-                        continue
-                    cell = (pj + qi, (j - pj) + (i - qi))
-                    re, im = rat.get(cell, (Fraction(0), Fraction(0)))
-                    rat[cell] = (re + coef * cre, im + coef * cim)
+    n, d = p.max_degree, int(target_degree)
+    js, iis = np.nonzero(p.coeffs)
+    terms = [(j, i, c.real.as_integer_ratio(), c.imag.as_integer_ratio())
+             for j, i, c in zip(js.tolist(), iis.tolist(),
+                                p.coeffs[js, iis].tolist())]
+    big = max((q for *_, (_, qr), (_, qi) in terms for q in (qr, qi)),
+              default=1)
+    # rows[v][j][t]: numerator of the new1^t new2^(j-t) term of old_v^j
+    rows = [[[comb(j, t) * a ** t * b ** (j - t) for t in range(j + 1)]
+             for j in range(n)] for a, b in subs]
+    # diagonal s -> (real, imaginary) numerators of cells (0, s) .. (s, 0),
+    # kept in order of first appearance: with a, b nonzero each input cell
+    # reaches its whole diagonal, so GridOverflow names the first offending
+    # monomial of the term-by-term expansion
+    diagonals: dict[int, tuple[list[int], list[int]]] = {}
+    for j, i, (mr, qr), (mi, qi) in terms:
+        re_acc, im_acc = diagonals.setdefault(j + i, ([0] * (j + i + 1),
+                                                      [0] * (j + i + 1)))
+        nre, nim = mr * (big // qr), mi * (big // qi)
+        conv = [0] * (j + i + 1)
+        for t, x in enumerate(rows[0][j]):
+            for u, y in enumerate(rows[1][i]):
+                conv[t + u] += x * y
+        for a, c in enumerate(conv):
+            re_acc[a] += nre * c
+            im_acc[a] += nim * c
     out = np.zeros((d, d), dtype=np.complex128)
-    for (a, b), (re, im) in rat.items():
-        if re == 0 and im == 0:
-            continue
-        if a >= d or b >= d:
-            raise GridOverflow(
-                f"monomial {target_vars[0]}^{a} {target_vars[1]}^{b} "
-                f"exceeds the {d} x {d} target grid")
-        out[a, b] = complex(float(re), float(im))
+    for s, (re_acc, im_acc) in diagonals.items():
+        scale = big * den ** s
+        for a, (re, im) in enumerate(zip(re_acc, im_acc)):
+            if re == 0 and im == 0:
+                continue
+            if a >= d or s - a >= d:
+                raise GridOverflow(
+                    f"monomial {target_vars[0]}^{a} {target_vars[1]}^{s - a} "
+                    f"exceeds the {d} x {d} target grid")
+            out[a, s - a] = complex(re / scale, im / scale)
     return poly_state(target_vars, d, out)
 
 
@@ -91,23 +106,13 @@ def change_of_variables(p: PolyState, target_degree: int) -> PolyState:
     """Rewrite a polynomial in (x1, x2) in terms of the center-of-mass pair
     X = (x1 + x2)/2, x = x1 - x2, i.e. substitute x1 = X + x/2,
     x2 = X - x/2."""
-    v1, v2 = p.variables
-    subs = {
-        v1: (Fraction(1), Fraction(1, 2)),
-        v2: (Fraction(1), Fraction(-1, 2)),
-    }
-    return _substitute(p, subs, ("X", "x"), target_degree)
+    return _substitute(p, ((2, 1), (2, -1)), 2, ("X", "x"), target_degree)
 
 
 def inverse_change_of_variables(p: PolyState, target_degree: int) -> PolyState:
     """Rewrite a polynomial in (X, x) back in terms of x1, x2: substitute
     X = (x1 + x2)/2, x = x1 - x2."""
-    v1, v2 = p.variables
-    subs = {
-        v1: (Fraction(1, 2), Fraction(1, 2)),
-        v2: (Fraction(1), Fraction(-1)),
-    }
-    return _substitute(p, subs, ("x1", "x2"), target_degree)
+    return _substitute(p, ((1, 1), (2, -2)), 2, ("x1", "x2"), target_degree)
 
 
 def poly_tps(variables, d: int) -> Tps:

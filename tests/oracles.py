@@ -4,6 +4,10 @@ test values. Nothing here touches the package's numerics."""
 from fractions import Fraction
 import math
 
+import numpy as np
+
+from tpskit.errors import GridOverflow
+
 
 def q(re, im=0):
     """A Gaussian rational as a (Fraction, Fraction) pair."""
@@ -76,3 +80,44 @@ def singular_values_2x2(m):
     hi = (trace + disc) / 2
     lo = (trace - disc) / 2
     return (math.sqrt(hi), math.sqrt(max(lo, 0.0)))
+
+
+def substitute_exact(coeffs, subs, target_vars, target_degree):
+    """Linear change of variables of a two-variable polynomial in Fraction
+    arithmetic, rounded to complex128 at the very end.
+
+    ``coeffs[j, i]`` is the coefficient of old1**j * old2**i; ``subs`` holds
+    one pair of rationals (a, b) per old variable, old = a*new1 + b*new2.
+    Raises GridOverflow on the first cell, in order of first appearance,
+    that lies outside the target grid and is nonzero after the exact sum.
+    """
+    d = int(target_degree)
+    (a1, b1), (a2, b2) = subs
+    rat = {}
+    for j in range(coeffs.shape[0]):
+        for i in range(coeffs.shape[1]):
+            c = coeffs[j, i]
+            if c == 0:
+                continue
+            cre, cim = Fraction(c.real), Fraction(c.imag)
+            for pj in range(j + 1):
+                for qi in range(i + 1):
+                    coef = (
+                        math.comb(j, pj) * a1 ** pj * b1 ** (j - pj)
+                        * math.comb(i, qi) * a2 ** qi * b2 ** (i - qi)
+                    )
+                    if coef == 0:
+                        continue
+                    cell = (pj + qi, (j - pj) + (i - qi))
+                    re, im = rat.get(cell, (Fraction(0), Fraction(0)))
+                    rat[cell] = (re + coef * cre, im + coef * cim)
+    out = np.zeros((d, d), dtype=np.complex128)
+    for (a, b), (re, im) in rat.items():
+        if re == 0 and im == 0:
+            continue
+        if a >= d or b >= d:
+            raise GridOverflow(
+                f"monomial {target_vars[0]}^{a} {target_vars[1]}^{b} "
+                f"exceeds the {d} x {d} target grid")
+        out[a, b] = complex(float(re), float(im))
+    return out
