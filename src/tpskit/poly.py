@@ -43,6 +43,8 @@ def poly_state(variables, max_degree: int, coeffs) -> PolyState:
 
 def monomial(variables, max_degree: int, j: int, i: int,
              coefficient: complex = 1.0) -> PolyState:
+    if not (0 <= j < max_degree and 0 <= i < max_degree):
+        raise ValueError(f"exponents ({j}, {i}) outside 0..{max_degree - 1}")
     c = np.zeros((max_degree, max_degree), dtype=np.complex128)
     c[j, i] = coefficient
     return poly_state(variables, max_degree, c)

@@ -81,7 +81,7 @@ def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
     n = v.size
     _check_shape(n, k, l)
     norm = np.linalg.norm(v)
-    if norm <= tol.residual:
+    if norm == 0:
         raise ZeroState("cannot refactor the zero vector")
     if orthonormal:
         basis = complete_orthonormal((v / norm).reshape(n, 1), n, tol)
@@ -104,7 +104,7 @@ def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
     if k < 2 or l < 2:
         raise ShapeTooSmall("an entangling grid needs both factors >= 2")
     norm = np.linalg.norm(v)
-    if norm <= tol.residual:
+    if norm == 0:
         raise ZeroState("cannot refactor the zero vector")
 
     # smallest-index coordinate direction not parallel to w

@@ -85,12 +85,10 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     its nonzero singular values, and ``sum_m sigma_m * outer(u_m, v_m)``
     reconstructs the coefficient matrix.
     """
-    v = as_vector(w, n=t.dim)
-    if np.linalg.norm(v) <= tol.residual:
-        raise ZeroState("cannot classify the zero vector")
-    c = coefficient_matrix(v, t)
-    u, s, vr = svd(c)
+    u, s, vr = svd(coefficient_matrix(w, t))
     r = singular_rank(s, tol)
+    if r == 0:
+        raise ZeroState("cannot classify the zero vector")
     return SchmidtReport(
         rank=r,
         coefficients=s[:r].copy(),
@@ -118,20 +116,22 @@ def swap_factors(t: Tps) -> Tps:
 
 
 def tps_equivalent(t1: Tps, t2: Tps, tol: Tolerance = DEFAULT_TOL) -> EquivalenceVerdict:
-    """Decide equivalence of two structures via their induced algebra pairs.
-
-    Two structures are equivalent exactly when the pairs of operator algebras
-    they induce agree as an ordered pair (swapped=False) or after exchanging
-    the factors (swapped=True).
+    """Decide whether two structures have the same product vectors, that is
+    whether M = B1^-1 B is a Kronecker product P (x) Q for B = B2
+    (swapped=False) or the basis of ``swap_factors(t2)`` (swapped=True).
+    Rearranged (Van Loan-Pitsianis) with P[j, j'] Q[i, i'] at row (j, j'),
+    column (i, i'), M has rank one exactly then: its second singular value
+    is zero up to max(rank_rel, n * eps * cond(B1)) times the first.
     """
-    from .algebra import span_equal, tps_to_tpp
-
     if t1.dim != t2.dim:
         raise DimensionMismatch("structures live on different spaces")
-    a1, a2 = tps_to_tpp(t1, tol)
-    b1, b2 = tps_to_tpp(t2, tol)
-    if span_equal(a1, b1, tol) and span_equal(a2, b2, tol):
-        return EquivalenceVerdict(equivalent=True, swapped=False)
-    if span_equal(a1, b2, tol) and span_equal(a2, b1, tol):
-        return EquivalenceVerdict(equivalent=True, swapped=True)
+    (k, l), eps = t1.shape, np.finfo(float).eps
+    floor = max(tol.rank_rel, t1.dim * eps * np.linalg.cond(t1.basis))
+    for swapped, t in ((False, t2), (True, swap_factors(t2))):
+        if t.shape == t1.shape:
+            m = np.linalg.solve(t1.basis, t.basis).reshape(k, l, k, l)
+            s = np.linalg.svd(m.transpose(0, 2, 1, 3).reshape(k * k, l * l),
+                              compute_uv=False)
+            if s.size == 1 or s[1] <= floor * s[0]:
+                return EquivalenceVerdict(equivalent=True, swapped=swapped)
     return EquivalenceVerdict(equivalent=False, swapped=False)

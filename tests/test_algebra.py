@@ -19,7 +19,7 @@ from tpskit.algebra import OperatorAlgebra, _diagnose, _hermitian_span, contains
 from tpskit.core import DEFAULT_TOL
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
-from util import SHAPES, random_invertible, random_unitary
+from util import SHAPES, forbid_algebra, random_invertible, random_unitary
 
 XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
@@ -185,18 +185,11 @@ def test_is_tpp_matches_six_check_diagnostic():
         assert must_fail <= failed and got.is_tpp == (not must_fail), name
 
 
-def _forbid(monkeypatch, *names):
-    def called(*args, **kwargs):
-        raise AssertionError("called on the certification fast path")
-    for name in names:
-        monkeypatch.setattr(tpskit.algebra, name, called)
-
-
 def test_certified_pair_needs_no_commutant_or_join(monkeypatch):
     rng = np.random.default_rng(41)
     t = tps_new(3, 4, random_unitary(rng, 12))
     a1, a2 = tps_to_tpp(t)
-    _forbid(monkeypatch, "commutant", "join")
+    forbid_algebra(monkeypatch, "commutant", "join")
     verdict = is_tpp(a1, a2)
     assert verdict.is_tpp and (verdict.k, verdict.l) == (3, 4)
     assert tps_equivalent(t, tpp_to_tps(a1, a2, seed=3)).equivalent
@@ -206,7 +199,7 @@ def test_tpp_to_tps_does_not_call_is_tpp(monkeypatch):
     rng = np.random.default_rng(42)
     t = tps_new(2, 3, random_unitary(rng, 6))
     a1, a2 = tps_to_tpp(t)
-    _forbid(monkeypatch, "is_tpp")
+    forbid_algebra(monkeypatch, "is_tpp")
     assert tps_equivalent(t, tpp_to_tps(a1, a2)).equivalent
 
 

@@ -23,6 +23,13 @@ def test_monomial_vector_layout():
     assert np.count_nonzero(v) == 1
 
 
+@pytest.mark.parametrize("j, i", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_monomial_rejects_exponents_off_the_grid(j, i):
+    # a negative index would wrap around to the last exponent
+    with pytest.raises(ValueError):
+        monomial(("x1", "x2"), 3, j, i)
+
+
 def test_change_of_variables_x1_x2_product():
     p = monomial(("x1", "x2"), 4, 1, 1)
     q = change_of_variables(p, 4)

@@ -112,6 +112,19 @@ def test_zero_state_rejected():
         tps_making_state_product(np.zeros(4), 2, 2)
 
 
+def test_refactor_verdicts_ignore_tiny_and_huge_scales():
+    # only the exactly zero state is refused; the orthonormal constructions
+    # see the direction of w alone
+    rng = np.random.default_rng(58)
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        product = np.kron(random_state(rng, k), random_state(rng, l))
+        for w in (product, random_state(rng, k * l)):
+            for alpha in (1e-12, 1e-11, 1e12):
+                tp, te = dual_verdict(alpha * w, k, l)
+                assert is_product(alpha * w, tp), (k, l, alpha)
+                assert schmidt(alpha * w, te).rank == 2, (k, l, alpha)
+
+
 def test_non_orthonormal_verdicts_survive_rescaling():
     # the completing coordinate vectors depend on the state's direction
     # only, so rescaled and coordinate-aligned states still get a basis

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tpskit import (
     coefficient_matrix,
@@ -11,11 +12,11 @@ from tpskit import (
     tps_equivalent,
     tps_new,
 )
-from tpskit.algebra import tps_to_tpp
+from tpskit.algebra import span_equal, tpp_to_tps, tps_to_tpp
 from tpskit.errors import DimensionMismatch, SingularBasis, ZeroState
 
 import oracles
-from util import random_invertible, random_state, random_unitary
+from util import forbid_algebra, random_invertible, random_state, random_unitary
 
 
 def test_tps_new_rejects_singular_basis():
@@ -139,6 +140,7 @@ def test_equivalence_reflexive_symmetric():
     v12 = tps_equivalent(t1, t2)
     v21 = tps_equivalent(t2, t1)
     assert v12.equivalent == v21.equivalent
+    assert not v12.equivalent
 
 
 def test_swap_is_equivalent_with_flag():
@@ -201,3 +203,90 @@ def test_trivial_shapes():
     w = random_state(rng, 4)
     assert is_product(w, t1) and is_product(w, t4)
     assert tps_equivalent(t1, t4).equivalent
+
+
+def test_schmidt_rank_ignores_scale():
+    # no absolute floor: only the exactly zero coefficient matrix is refused
+    rng = np.random.default_rng(22)
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        t = tps_new(k, l, random_invertible(rng, k * l))
+        product = t.basis @ np.outer(random_state(rng, k), random_state(rng, l)).reshape(-1)
+        entangled = random_state(rng, k * l)
+        for w, rank in ((product, 1), (entangled, min(k, l))):
+            assert schmidt(w, t).rank == rank
+            for alpha in (1e-12, 1e-11, 1e12):
+                assert schmidt(alpha * w, t).rank == rank, (k, l, alpha)
+
+
+def _conditioned(rng, n, cond):
+    """Random n x n basis with singular values log-evenly from 1 to 1/cond
+    (a random unitary when cond = 1)."""
+    s = np.logspace(0, -np.log10(cond), n)
+    return (random_unitary(rng, n) * s) @ random_unitary(rng, n)
+
+
+def _algebra_verdict(t1, t2):
+    """(equivalent, swapped) from the induced factor algebras: the paper's
+    TPS <-> TPP correspondence, compared in order, then crosswise."""
+    a1, a2 = tps_to_tpp(t1)
+    b1, b2 = tps_to_tpp(t2)
+    if span_equal(a1, b1) and span_equal(a2, b2):
+        return (True, False)
+    if span_equal(a1, b2) and span_equal(a2, b1):
+        return (True, True)
+    return (False, False)
+
+
+_SHAPES = [(1, 4), (4, 1), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4), (4, 4)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_SHAPES), st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 30.0, 1e4]), st.sampled_from([1.0, 30.0, 1e3]))
+def test_equivalence_is_kronecker_structure(shape, seed, cond_b, cond_local):
+    k, l = shape
+    rng = np.random.default_rng(seed)
+    t = tps_new(k, l, _conditioned(rng, k * l, cond_b))
+    local = np.kron(_conditioned(rng, k, cond_local), _conditioned(rng, l, cond_local))
+    pairs = [
+        (tps_new(k, l, t.basis @ local), (True, False)),
+        (swap_factors(t), (True, True)),
+        # every vector is a product in a trivial shape
+        (tps_new(k, l, random_invertible(rng, k * l)), (t.is_trivial(), False)),
+    ]
+    if cond_b == 1.0:
+        pairs.append((tpp_to_tps(*tps_to_tpp(t)), (True, False)))
+    for other, want in pairs:
+        v = tps_equivalent(t, other)
+        assert (v.equivalent, v.swapped) == want
+        back = tps_equivalent(other, t)
+        assert (back.equivalent, back.swapped) == want
+        if max(np.linalg.cond(t.basis), np.linalg.cond(other.basis)) <= 30:
+            assert _algebra_verdict(t, other) == want
+
+
+def test_equivalence_survives_ill_conditioned_factors():
+    # B2 = B1 (P (x) Q) with cond(B1) = 1e4 and cond(P) = cond(Q) = 1e3, and
+    # with cond(B1) = 1e8, which only a cutoff with the cond(B1) * eps floor
+    # accepts
+    rng = np.random.default_rng(23)
+    for k, l in ((2, 3), (3, 3)):
+        for cond_b, cond_local in ((1e4, 1e3), (1e8, 3.0)):
+            for _ in range(10):
+                t = tps_new(k, l, _conditioned(rng, k * l, cond_b))
+                local = np.kron(_conditioned(rng, k, cond_local),
+                                _conditioned(rng, l, cond_local))
+                v = tps_equivalent(t, tps_new(k, l, t.basis @ local))
+                assert v.equivalent and not v.swapped, (k, l, cond_b)
+
+
+def test_equivalence_builds_no_algebras(monkeypatch):
+    forbid_algebra(monkeypatch, "tps_to_tpp", "span_equal")
+    rng = np.random.default_rng(24)
+    t = tps_new(2, 3, random_invertible(rng, 6))
+    local = np.kron(random_invertible(rng, 2), random_invertible(rng, 3))
+    v = tps_equivalent(t, tps_new(2, 3, t.basis @ local))
+    assert v.equivalent and not v.swapped
+    v = tps_equivalent(t, swap_factors(t))
+    assert v.equivalent and v.swapped
+    assert not tps_equivalent(t, tps_new(2, 3, random_invertible(rng, 6))).equivalent

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+import tpskit.algebra
+
 SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
 
 
@@ -34,3 +36,11 @@ def random_standard_pair(rng, k, l, unitary=True):
     r = g @ np.kron(np.diag(lam), np.eye(l)) @ gi
     t = g @ np.kron(np.eye(k), np.diag(mu)) @ gi
     return r, t
+
+
+def forbid_algebra(monkeypatch, *names):
+    """Make the named functions of tpskit.algebra raise when called."""
+    def called(*args, **kwargs):
+        raise AssertionError("algebra function called on a path that needs none")
+    for name in names:
+        monkeypatch.setattr(tpskit.algebra, name, called)
