@@ -8,9 +8,11 @@ which keeps every structural test at a uniform tolerance.
 Factor pairs are certified witness first: a pair is a tensor product
 partition exactly when some grid basis B induces it, so certification builds
 B from generic elements of the pair and compares the pair B induces with the
-input.  The six structural checks (commutation, adjoint closure, square
-dimensions, mutual commutants, trivial centers, full join) run only when no
-witness is found, as diagnostics of the failure.
+input.  A generic Hermitian element of a star-closed algebra is drawn as the
+Hermitian part of a complex Gaussian combination of its span basis.  The six
+structural checks (commutation, adjoint closure, square dimensions, mutual
+commutants, trivial centers, full join) run only when no witness is found, as
+diagnostics of the failure.
 """
 
 from __future__ import annotations
@@ -233,24 +235,12 @@ def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     return a1, a2
 
 
-def _hermitian_span(a: OperatorAlgebra, tol: Tolerance) -> np.ndarray:
-    """Hermitian matrices spanning the algebra (real-linear basis)."""
-    g = a.span_basis
-    gh = np.transpose(g.conj(), (0, 2, 1))
-    herm = _orthonormal_span(np.concatenate([(g + gh) / 2, (g - gh) / 2j]),
-                             tol.rank_rel)
-    # re-symmetrize: SVD mixing can introduce phases
-    herm_h = np.transpose(herm.conj(), (0, 2, 1))
-    stack = np.stack([(herm + herm_h) / 2, (herm - herm_h) / 2j], axis=1)
-    stack = stack.reshape(-1, *herm.shape[1:])
-    norms = np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
-    return stack[norms > 1e-10]
-
-
-def _draw_generic_hermitian(span: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    coeffs = rng.uniform(-1.0, 1.0, size=span.shape[0])
-    h = np.tensordot(coeffs, span, axes=(0, 0))
-    return (h + h.conj().T) / 2
+def _draw_generic_hermitian(a: OperatorAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Hermitian part of a complex Gaussian combination of the span basis:
+    a generic Hermitian element when the algebra is star-closed."""
+    z = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
+    g = np.tensordot(z, a.span_basis, axes=(0, 0))
+    return (g + g.conj().T) / 2
 
 
 def _factor_dims(a1: OperatorAlgebra, a2: OperatorAlgebra):
@@ -288,16 +278,19 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
     return TppVerdict(is_tpp=all(checks.values()), k=k, l=l, checks=checks)
 
 
-def _draw_with_clusters(span: np.ndarray, groups: int, mult: int,
-                        rng: np.random.Generator, tol: Tolerance):
-    """A generic Hermitian element with `groups` eigenvalue clusters of
-    `mult` each, its eigenvectors and clusters; None after 16 draws."""
+def _draw_eigenspaces(a: OperatorAlgebra, groups: int, mult: int,
+                      frame: np.ndarray, rng: np.random.Generator,
+                      tol: Tolerance):
+    """Eigenspaces, as columns of `frame`, of a generic Hermitian element of
+    the algebra compressed to the orthonormal columns of `frame`: the blocks
+    `frame @ vecs` of its `groups` eigenvalue clusters, each of `mult`
+    vectors, in ascending order; None after 16 draws."""
     for _ in range(16):
-        h = _draw_generic_hermitian(span, rng)
-        vals, vecs = np.linalg.eigh(h)
+        h = _draw_generic_hermitian(a, rng)
+        vals, vecs = np.linalg.eigh(frame.conj().T @ h @ frame)
         clusters = cluster_values(vals, tol)
         if len(clusters) == groups and all(len(c) == mult for c in clusters):
-            return h, vecs, clusters
+            return [frame @ vecs[:, c] for c in clusters]
     return None
 
 
@@ -305,12 +298,13 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> Tps | None:
     """A grid basis inducing exactly the pair (a1, a2), or None.
 
-    Draws generic Hermitian elements r of a1 and t of a2, takes the
-    eigenspace grid they induce, fixes the first fiber by the eigenbasis of r
-    on the lowest t-eigenspace, and transports it to the remaining fibers by
-    algebra elements of a2 (laid out by `grid_from_fibers`).  The result is a
-    witness only if the pair it induces spans a1 and a2; it then implies all
-    six checks of `_diagnose`.
+    The eigenspaces of a generic Hermitian t in a2 are the l fibers; the
+    eigenvectors of a generic Hermitian r in a1, compressed to the first
+    fiber, are its k cells.  One generic element of a2 carries that fiber
+    into every other one (`grid_from_fibers` lays them out); when it misses
+    a fiber, the transport is drawn again.  The result is a witness only if
+    the pair it induces spans a1 and a2; it then implies all six checks of
+    `_diagnose`.
     """
     if a1.dim_space != a2.dim_space:
         raise DimensionMismatch("algebras act on different spaces")
@@ -320,34 +314,27 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     if dims is None or not (_star_closed(a1) and _star_closed(a2)):
         return None
     k, l = dims
-    herm2 = _hermitian_span(a2, tol)
     rng = np.random.default_rng(seed)
-    drawn_r = _draw_with_clusters(_hermitian_span(a1, tol), k, l, rng, tol)
-    drawn_t = _draw_with_clusters(herm2, l, k, rng, tol)
-    if drawn_r is None or drawn_t is None:
+    fibers = _draw_eigenspaces(a2, l, k, np.eye(a1.dim_space), rng, tol)
+    if fibers is None:
         return None
-    r = drawn_r[0]
-    _, t_vecs, t_clusters = drawn_t
+    cells = _draw_eigenspaces(a1, k, 1, fibers[0], rng, tol)
+    if cells is None:
+        return None
+    fiber0 = np.column_stack([phase_fix(c[:, 0]) for c in cells])
 
-    projectors = [t_vecs[:, c] for c in t_clusters]  # each n x k, orthonormal
-    p0 = projectors[0]
-    r0 = p0.conj().T @ r @ p0
-    _, rvecs0 = np.linalg.eigh((r0 + r0.conj().T) / 2)
-    fiber0 = np.column_stack([phase_fix(p0 @ rvecs0[:, j]) for j in range(k)])
-
-    fibers = [fiber0]
-    for pi in projectors[1:]:
-        for _ in range(16):
-            b = _draw_generic_hermitian(herm2, rng)
-            transported = pi @ (pi.conj().T @ (b @ fiber0))
-            if np.linalg.norm(transported[:, 0]) > 1e-6 * max(np.linalg.norm(b), 1.0):
-                break
-        else:
-            return None
-        fibers.append(transported)
+    for _ in range(16):
+        b = _draw_generic_hermitian(a2, rng)
+        moved = b @ fiber0
+        transported = [p @ (p.conj().T @ moved) for p in fibers[1:]]
+        floor = 1e-6 * max(np.linalg.norm(b), 1.0)
+        if all(np.linalg.norm(x[:, 0]) > floor for x in transported):
+            break
+    else:
+        return None
 
     try:
-        out = tps_new(k, l, grid_from_fibers(fibers, axis=2), tol)
+        out = tps_new(k, l, grid_from_fibers([fiber0] + transported, axis=2), tol)
     except SingularBasis:
         return None
     b1, b2 = tps_to_tpp(out, tol)

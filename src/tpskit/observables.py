@@ -3,9 +3,10 @@ k-by-l grid, the TPS they induce, and complementary pairs that pin a factor
 pair down uniquely.
 
 Complementarity is two instances of one linear problem, solved by
-`core.intertwiners`: the restricted pairs act irreducibly on each shared
-subspace (their joint commutant is the scalars) and isomorphically across
-subspaces (an invertible intertwiner maps the first fiber to each other one).
+`core.intertwiners`: the restricted pair acts irreducibly on the first shared
+subspace (its joint commutant is the scalars) and isomorphically across
+subspaces (an invertible intertwiner maps the first fiber to each other one),
+so it acts irreducibly on every subspace.
 """
 
 from __future__ import annotations
@@ -234,9 +235,9 @@ def _trivial_joint_commutant(mats: list) -> bool:
 def _intertwiner(pair_i: tuple, pair_0: tuple, tol: Tolerance):
     """Invertible X with A_i X = X A_0 and B_i X = X B_0, or None.
 
-    Both pairs act irreducibly, so the solution space has at most one
-    dimension (Schur's lemma) and its nonzero elements are invertible exactly
-    when the pairs are isomorphic.
+    pair_0 acts irreducibly, so an invertible solution exists exactly
+    when the pairs are isomorphic, and the solutions then form one line
+    (Schur's lemma).
     """
     d = pair_0[0].shape[0]
     for x in intertwiners(pair_i, pair_0, 1e-12):
@@ -251,7 +252,9 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
 
     op1/op2 are restricted along the shared subspace family; returns
     (restriction of op1 to the first subspace, intertwiners to the first
-    subspace) or None.
+    subspace) or None.  Irreducibility is tested on the first subspace only:
+    an invertible intertwiner onto it makes every other restriction similar
+    to it, hence irreducible too.
     """
     restr = []
     for p in spaces:
@@ -259,9 +262,9 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
         b = _restriction(op2, p, tol)
         if a is None or b is None:
             return None
-        if not _trivial_joint_commutant([a, b]):
-            return None
         restr.append((a, b))
+    if not _trivial_joint_commutant(list(restr[0])):
+        return None
     fiber_maps = [np.eye(restr[0][0].shape[0], dtype=np.complex128)]
     for pair in restr[1:]:
         x = _intertwiner(pair, restr[0], tol)

@@ -74,8 +74,9 @@ def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
                              tol: Tolerance = DEFAULT_TOL) -> Tps:
     """Structure making the given state a product vector (grid cell (0, 0)).
 
-    With orthonormal=True the state is normalized and completed to a unitary
-    basis, so the result is inner-product compatible.
+    The basis holds w/||w||, so its conditioning does not depend on the
+    scale of w.  With orthonormal=True it is completed to a unitary basis, so
+    the result is inner-product compatible.
     """
     v = as_vector(w)
     n = v.size
@@ -83,10 +84,11 @@ def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ZeroState("cannot refactor the zero vector")
+    col = (v / norm).reshape(n, 1)
     if orthonormal:
-        basis = complete_orthonormal((v / norm).reshape(n, 1), n, tol)
+        basis = complete_orthonormal(col, n, tol)
     else:
-        basis = _complete_columns(v.reshape(n, 1), n)
+        basis = _complete_columns(col, n)
     return tps_making_basis_product(basis, k, l, tol)
 
 
@@ -96,7 +98,8 @@ def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
 
     Splits w = w1 + w2 with w1 along a standard basis direction not parallel
     to w, assigns the two parts to the off-diagonal grid cells (0, 1) and
-    (1, 0), and fills the rest of the basis lexicographically.
+    (1, 0), and fills the rest of the basis lexicographically.  The basis
+    holds the two parts divided by ||w||.
     """
     v = as_vector(w)
     n = v.size
@@ -131,7 +134,7 @@ def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
         pair = q
         rest = complete_orthonormal(pair, n, tol)[:, 2:]
     else:
-        pair = np.column_stack([w1, w2])
+        pair = np.column_stack([w1, w2]) / norm
         rest = _complete_columns(pair, n)[:, 2:]
 
     basis = np.zeros((n, n), dtype=np.complex128)

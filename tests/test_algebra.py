@@ -15,7 +15,7 @@ from tpskit import (
     tps_new,
     tps_to_tpp,
 )
-from tpskit.algebra import OperatorAlgebra, _diagnose, _hermitian_span, contains
+from tpskit.algebra import OperatorAlgebra, _diagnose, contains
 from tpskit.core import DEFAULT_TOL
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
@@ -243,17 +243,39 @@ def test_svd_fallback_gives_the_same_span(monkeypatch):
         assert span_equal(a, b)
 
 
-def test_hermitian_span_interleaves_parts():
-    # each orthonormal direction h contributes (h + h†)/2, then (h - h†)/2i
-    rng = np.random.default_rng(31)
-    a1, _ = tps_to_tpp(tps_new(2, 3, random_invertible(rng, 6)))
-    g = a1.span_basis
-    gh = np.transpose(g.conj(), (0, 2, 1))
-    herm = tpskit.algebra._orthonormal_span(
-        np.concatenate([(g + gh) / 2, (g - gh) / 2j]), DEFAULT_TOL.rank_rel)
-    parts = []
-    for h in herm:
-        parts += [(h + h.conj().T) / 2, (h - h.conj().T) / 2j]
-    parts = np.array(parts)
-    keep = np.linalg.norm(parts.reshape(len(parts), -1), axis=1) > 1e-10
-    assert np.array_equal(_hermitian_span(a1, DEFAULT_TOL), parts[keep])
+def test_generic_hermitian_lies_in_the_algebra():
+    rng = np.random.default_rng(45)
+    algebras = []
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        algebras += tps_to_tpp(tps_new(k, l, random_unitary(rng, k * l)))
+    e01 = np.zeros((3, 3), dtype=complex)
+    e01[0, 1] = 1.0
+    m2_plus_c = algebra_generate([e01, e01.T])
+    assert m2_plus_c.dim == 5
+    scalars = algebra_generate([np.eye(3, dtype=complex)])
+    assert scalars.dim == 1
+    for a in algebras + [m2_plus_c, scalars]:
+        h = tpskit.algebra._draw_generic_hermitian(a, rng)
+        assert np.array_equal(h, h.conj().T)
+        assert np.linalg.norm(h) > 0 and contains(a, h)
+
+
+def test_witness_redraws_a_transport_that_misses_a_fiber(monkeypatch):
+    rng = np.random.default_rng(46)
+    t = tps_new(2, 3, random_unitary(rng, 6))
+    a1, a2 = tps_to_tpp(t)
+    draw, drawn_from = tpskit.algebra._draw_generic_hermitian, []
+
+    def identity_as_first_transport(a, gen):
+        # t is drawn from a2, then r from a1, so the first a2 draw after an
+        # a1 draw is the first transport; the identity moves no fiber
+        drawn_from.append(1 if a is a1 else 2)
+        if drawn_from[-2:] == [1, 2]:
+            return np.eye(6, dtype=complex)
+        return draw(a, gen)
+
+    monkeypatch.setattr(tpskit.algebra, "_draw_generic_hermitian",
+                        identity_as_first_transport)
+    out = tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL)
+    assert drawn_from[-3:] == [1, 2, 2]
+    assert out is not None and tps_equivalent(t, out).equivalent

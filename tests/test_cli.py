@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -129,3 +130,34 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["grid_shape"] == [3, 3]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def assert_same_json(got, want, path="$"):
+    """Same structure, keys, ints, bools and strings; floats within 1e-12."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            assert_same_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    else:
+        assert got == want, path
+
+
+def test_examples_match_golden_outputs():
+    for name, argv in (("example_bell", ["example", "bell"]),
+                       ("example_com_degree4", ["example", "com", "--degree", "4"]),
+                       ("example_bargmann_degree3",
+                        ["example", "bargmann", "--degree", "3"])):
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == "", name
+        with open(os.path.join(GOLDEN, name + ".json")) as fh:
+            assert_same_json(json.loads(out), json.load(fh), name)

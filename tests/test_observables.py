@@ -18,6 +18,7 @@ from tpskit.algebra import contains
 from tpskit.errors import (
     MultiplicityViolation,
     NotCommuting,
+    NotComplementary,
     NotDiagonalizable,
 )
 from tpskit.observables import _chain_matrix
@@ -171,28 +172,34 @@ def test_tpp_from_complementary_shared_r_eigenspaces():
 
 def test_non_isomorphic_fibers_fail_at_the_intertwiner(monkeypatch):
     # p2 keeps t; r2 is the chained operator on the first t-eigenspace and
-    # its transpose on the others, so r and r2 act irreducibly on every
-    # t-eigenspace but differently on the first one and the rest
+    # its transpose or diag(lambda) on the others, so r and r2 act
+    # irreducibly on the first t-eigenspace but differently there and on the
+    # rest; with diag(lambda) the others are reducible, which the intertwiner
+    # onto the first one detects too
     rng = np.random.default_rng(49)
     for k, l in ((2, 2), (3, 2), (2, 3)):
         r, t = random_standard_pair(rng, k, l)
         p1 = observable_pair(r, t)
         cs = verify_standard_complete(p1)
-        km = _chain_matrix(cs.r_eigenvalues.astype(complex))
-        block = np.zeros((k * l, k * l), dtype=complex)
-        for i in range(l):  # cells (j, i) of one t-eigenspace sit at j*l + i
-            block[i::l, i::l] = km if i == 0 else km.T
-        p2 = observable_pair(cs.grid @ block @ np.linalg.inv(cs.grid), t)
-        assert verify_standard_complete(p2).k == k
+        lams = cs.r_eigenvalues.astype(complex)
+        km = _chain_matrix(lams)
+        for rest in (km.T, np.diag(lams)):
+            block = np.zeros((k * l, k * l), dtype=complex)
+            for i in range(l):  # cells (j, i) of one t-eigenspace sit at j*l + i
+                block[i::l, i::l] = km if i == 0 else rest
+            p2 = observable_pair(cs.grid @ block @ np.linalg.inv(cs.grid), t)
+            assert verify_standard_complete(p2).k == k
 
-        found = []
-        intertwiner = tpskit.observables._intertwiner
+            found = []
+            intertwiner = tpskit.observables._intertwiner
 
-        def spy(*args):
-            found.append(intertwiner(*args))
-            return found[-1]
+            def spy(*args):
+                found.append(intertwiner(*args))
+                return found[-1]
 
-        monkeypatch.setattr(tpskit.observables, "_intertwiner", spy)
-        assert not verify_complementary(p1, p2)
-        assert found and found[0] is None
-        monkeypatch.undo()
+            monkeypatch.setattr(tpskit.observables, "_intertwiner", spy)
+            assert not verify_complementary(p1, p2)
+            assert found and found[0] is None
+            with pytest.raises(NotComplementary):
+                tpp_from_complementary(p1, p2)
+            monkeypatch.undo()

@@ -126,14 +126,16 @@ def test_refactor_verdicts_ignore_tiny_and_huge_scales():
 
 
 def test_non_orthonormal_verdicts_survive_rescaling():
-    # the completing coordinate vectors depend on the state's direction
-    # only, so rescaled and coordinate-aligned states still get a basis
+    # the basis holds w/||w|| and completing coordinate vectors that depend
+    # on its direction only, so rescaled and coordinate-aligned states still
+    # get a well-conditioned basis
     rng = np.random.default_rng(56)
     for k, l in ((2, 2), (2, 3), (3, 3)):
         n = k * l
         w = random_state(rng, n)
         aligned = (np.eye(n)[0] + np.eye(n)[1]) / np.sqrt(2)
-        for v in (w, 1e-3 * w, 1e3 * w, aligned):
+        for v in (w, 1e-12 * w, 1e-11 * w, 1e-3 * w, 1e3 * w, 1e12 * w,
+                  aligned):
             assert schmidt(v, tps_making_state_product(v, k, l)).rank == 1
             assert schmidt(v, tps_making_state_entangled(v, k, l)).rank == 2
 
