@@ -7,11 +7,13 @@ which keeps every structural test at a uniform tolerance.
 
 Factor pairs are certified witness first: a pair is a tensor product
 partition exactly when some grid basis B induces it, so certification builds
-B from generic elements of the pair and compares the pair B induces with the
-input.  A generic Hermitian element of a star-closed algebra is drawn as the
-Hermitian part of a complex Gaussian combination of its span basis.  The six
-structural checks (commutation, adjoint closure, square dimensions, mutual
-commutants, trivial centers, full join) run only when no witness is found, as
+B from generic elements of the pair and checks, in B's own frame, that B is
+unitary and conjugates the pair onto M_k (x) 1 and 1 (x) M_l.  A generic
+Hermitian element of a star-closed algebra is drawn as the Hermitian part of
+a complex Gaussian combination of its span basis.  Adjoint closure is implied
+by a unitary witness, so it is not checked beforehand.  The six structural
+checks (commutation, adjoint closure, square dimensions, mutual commutants,
+trivial centers, full join) run only when no witness is found, as
 diagnostics of the failure.
 """
 
@@ -38,7 +40,7 @@ from .errors import (
     NotATpp,
     SingularBasis,
 )
-from .tps import Tps, tps_new
+from .tps import Tps, is_inner_product_compatible, tps_new
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +107,11 @@ def _project_out(cands: np.ndarray, flat_basis: np.ndarray) -> np.ndarray:
 
 def _projection_residual(mats: np.ndarray, flat_basis: np.ndarray) -> float:
     return float(np.linalg.norm(_project_out(mats, flat_basis)))
+
+
+def _span_bound(dim: int) -> float:
+    """Residual bound of the span comparisons for a span of dimension dim."""
+    return 1e-8 * np.sqrt(max(dim, 1))
 
 
 def _algebra(basis: np.ndarray, n: int) -> OperatorAlgebra:
@@ -188,7 +195,7 @@ def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
     """Mutual projection residual test for equality of the two spans."""
     if a.dim_space != b.dim_space or a.dim != b.dim:
         return False
-    thresh = 1e-8 * np.sqrt(max(a.dim, 1))
+    thresh = _span_bound(a.dim)
     return bool(
         _projection_residual(a.span_basis, b.flat) <= thresh
         and _projection_residual(b.span_basis, a.flat) <= thresh
@@ -216,7 +223,7 @@ def _max_commutator(a1: OperatorAlgebra, a2: OperatorAlgebra) -> float:
 
 def _star_closed(a: OperatorAlgebra) -> bool:
     adj = np.transpose(a.span_basis.conj(), (0, 2, 1))
-    return bool(_projection_residual(adj, a.flat) <= 1e-8 * np.sqrt(max(a.dim, 1)))
+    return bool(_projection_residual(adj, a.flat) <= _span_bound(a.dim))
 
 
 def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
@@ -294,6 +301,28 @@ def _draw_eigenspaces(a: OperatorAlgebra, groups: int, mult: int,
     return None
 
 
+def _induces(t: Tps, a1: OperatorAlgebra, a2: OperatorAlgebra,
+             tol: Tolerance) -> bool:
+    """Whether the grid basis U of t is unitary and induces exactly (a1, a2):
+    U^* g U minus its partial-trace projection onto M_k (x) 1 (g in a1) or
+    1 (x) M_l (g in a2) is within `span_equal`'s bound.  Conjugation by U
+    preserves Frobenius norms and the spans have the dimensions k^2, l^2 of
+    the pair t induces, so this is `span_equal` against that pair."""
+    if not is_inner_product_compatible(t, tol):
+        return False
+    k, l, u = t.k, t.l, t.basis
+    for a, swap in ((a1, False), (a2, True)):
+        x = (u.conj().T @ a.span_basis @ u).reshape(-1, k, l, k, l)
+        if swap:
+            x = x.transpose(0, 2, 1, 4, 3)
+        m = x.shape[2]
+        part = np.einsum("zaibi->zab", x) / m
+        resid = x - np.einsum("zab,ij->zaibj", part, np.eye(m))
+        if np.linalg.norm(resid) > _span_bound(a.dim):
+            return False
+    return True
+
+
 def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> Tps | None:
     """A grid basis inducing exactly the pair (a1, a2), or None.
@@ -303,15 +332,15 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     fiber, are its k cells.  One generic element of a2 carries that fiber
     into every other one (`grid_from_fibers` lays them out); when it misses
     a fiber, the transport is drawn again.  The result is a witness only if
-    the pair it induces spans a1 and a2; it then implies all six checks of
-    `_diagnose`.
+    it is unitary and induces exactly a1 and a2 (`_induces`); it then
+    implies all six checks of `_diagnose`, adjoint closure included.
     """
     if a1.dim_space != a2.dim_space:
         raise DimensionMismatch("algebras act on different spaces")
     if not (a1.unital and a2.unital):
         raise NonUnital("both algebras must contain the identity")
     dims = _factor_dims(a1, a2)
-    if dims is None or not (_star_closed(a1) and _star_closed(a2)):
+    if dims is None:
         return None
     k, l = dims
     rng = np.random.default_rng(seed)
@@ -337,23 +366,22 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
         out = tps_new(k, l, grid_from_fibers([fiber0] + transported, axis=2), tol)
     except SingularBasis:
         return None
-    b1, b2 = tps_to_tpp(out, tol)
-    if span_equal(b1, a1, tol) and span_equal(b2, a2, tol):
-        return out
-    return None
+    return out if _induces(out, a1, a2, tol) else None
 
 
 def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
            tol: Tolerance = DEFAULT_TOL) -> TppVerdict:
     """Certify that an ordered algebra pair factors the full matrix algebra.
 
-    Witness first: a pair that passes the cheap adjoint-closure and
-    square-dimension checks is certified by building a grid basis that
-    induces it, which implies every named check.  Without a witness the six
-    checks are evaluated directly, as diagnostics of the failure:
-    elementwise commutation, closure under adjoints, square span dimensions
-    k^2, l^2 with k*l = n, mutual commutants, trivial centers and a join of
-    full dimension.  Only star-closed pairs are certified.
+    Witness first: a pair with square span dimensions is certified by
+    building a unitary grid basis U that induces it, checked by conjugation
+    in U's frame (U^* A1 U = M_k (x) 1, U^* A2 U = 1 (x) M_l), which implies
+    every named check.  Without a witness the six checks are evaluated
+    directly, as diagnostics of the failure: elementwise commutation,
+    closure under adjoints, square span dimensions k^2, l^2 with k*l = n,
+    mutual commutants, trivial centers and a join of full dimension.  Only
+    star-closed pairs are certified; star-closure is implied by the
+    witness, not checked before it.
     """
     t = _witness(a1, a2, 0, tol)
     if t is not None:
@@ -367,7 +395,8 @@ def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
     """Construct a grid basis realizing a star-closed factor pair.
 
     Returns the certification witness built from the generic draws of
-    `seed` (see `_witness`).  Without one, the six checks of `is_tpp` are
+    `seed` (see `_witness`), which is always an inner-product-compatible
+    (unitary) grid.  Without one, the six checks of `is_tpp` are
     evaluated as diagnostics: NotATpp names the checks that fail, and
     GenericElementFailure means they all pass but the draws found no basis.
     """

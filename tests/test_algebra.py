@@ -279,3 +279,56 @@ def test_witness_redraws_a_transport_that_misses_a_fiber(monkeypatch):
     out = tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL)
     assert drawn_from[-3:] == [1, 2, 2]
     assert out is not None and tps_equivalent(t, out).equivalent
+
+
+def test_unitary_factor_pairs_are_certified_without_rebuilding_them(monkeypatch):
+    rng = np.random.default_rng(47)
+    pairs = []
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4)):
+        t = tps_new(k, l, random_unitary(rng, k * l))
+        pairs.append((t, tps_to_tpp(t)))
+    forbid_algebra(monkeypatch, "tps_to_tpp", "span_equal", "commutant", "join")
+    for t, (a1, a2) in pairs:
+        verdict = is_tpp(a1, a2)
+        assert verdict.is_tpp and (verdict.k, verdict.l) == t.shape
+        back = tpp_to_tps(a1, a2, seed=4)
+        assert is_inner_product_compatible(back)
+        assert tps_equivalent(t, back).equivalent
+
+
+def _near_identity_rotation(rng, n, eps):
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(np.eye(n) + 1j * eps * (h + h.conj().T) / 2)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def test_induces_accepts_only_the_grids_own_pair():
+    induces = tpskit.algebra._induces
+    rng = np.random.default_rng(48)
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        u = random_unitary(rng, k * l)
+        a1, a2 = tps_to_tpp(tps_new(k, l, u))
+        assert induces(tps_new(k, l, u), a1, a2, DEFAULT_TOL)
+        # (2U)^* g (2U) lies in the right subalgebra, but 2U is not unitary
+        assert not induces(tps_new(k, l, 2 * u), a1, a2, DEFAULT_TOL)
+        for eps, expected in ((1e-6, False), (1e-13, True)):
+            w = _near_identity_rotation(rng, k * l, eps)
+            assert induces(tps_new(k, l, w @ u), a1, a2, DEFAULT_TOL) == expected
+        # an equivalent but non-unitary basis induces the same pair, and is
+        # refused only as a frame; the pair itself is still a factor pair
+        pq = np.kron(random_invertible(rng, k), random_invertible(rng, l))
+        assert not induces(tps_new(k, l, u @ pq), a1, a2, DEFAULT_TOL)
+        assert is_tpp(a1, a2).is_tpp
+    u = random_unitary(rng, 6)
+    a1, a2 = tps_to_tpp(tps_new(2, 3, u))
+    assert not induces(tps_new(2, 3, u), a2, a1, DEFAULT_TOL)
+    _, b2 = tps_to_tpp(tps_new(2, 3, random_unitary(rng, 6)))
+    assert not induces(tps_new(2, 3, u), a1, b2, DEFAULT_TOL)
+
+
+def test_every_witness_is_inner_product_compatible():
+    rng = np.random.default_rng(49)
+    for k, l in SHAPES + [(1, 4), (4, 1)]:
+        a1, a2 = tps_to_tpp(tps_new(k, l, random_unitary(rng, k * l)))
+        for seed in (0, 1, 2):
+            assert is_inner_product_compatible(tpp_to_tps(a1, a2, seed=seed))
