@@ -350,7 +350,7 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     cells = _draw_eigenspaces(a1, k, 1, fibers[0], rng, tol)
     if cells is None:
         return None
-    fiber0 = np.column_stack([phase_fix(c[:, 0]) for c in cells])
+    fiber0 = phase_fix(np.column_stack([c[:, 0] for c in cells]))
 
     for _ in range(16):
         b = _draw_generic_hermitian(a2, rng)

@@ -210,14 +210,15 @@ def complete_orthonormal(vs, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 
 def phase_fix(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its largest-magnitude entry is
-    real positive (ties broken by lowest index)."""
+    real positive (ties broken by lowest index); a matrix has each of its
+    columns rotated so.  Zero vectors are returned unchanged."""
     v = np.asarray(v, dtype=np.complex128)
     mags = np.abs(v)
-    p = int(np.argmax(mags > mags.max() - 1e-14 * (mags.max() + 1)))
-    pivot = v[p]
-    if abs(pivot) == 0.0:
-        return v.copy()
-    return v * (abs(pivot) / pivot)
+    top = mags.max(axis=0)
+    p = np.argmax(mags > top - 1e-14 * (top + 1), axis=0, keepdims=True)
+    pivot = np.take_along_axis(v, p, axis=0)
+    zero = pivot == 0.0
+    return v * np.where(zero, 1.0, np.abs(pivot) / np.where(zero, 1.0, pivot))
 
 
 def grid_from_fibers(fibers, axis: int) -> np.ndarray:

@@ -11,7 +11,7 @@ so it acts irreducibly on every subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     intertwiners,
     numeric_rank,
     phase_fix,
+    singular_rank,
     subspace_residual,
 )
 from .errors import (
@@ -42,9 +43,19 @@ _COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 
 @dataclass(frozen=True, eq=False)
 class ObservablePair:
+    """A commuting operator pair.  r and t are private read-only copies, so
+    the characteristic sets kept in _memo (by Tolerance) stay valid."""
+
     r: np.ndarray
     t: np.ndarray
     hermitian: bool  # both self-adjoint: "observables" rather than "operators"
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("r", "t"):
+            m = np.array(getattr(self, name), dtype=np.complex128)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,47 +64,119 @@ class CharacteristicSets:
     l: int
     r_eigenvalues: np.ndarray      # k cluster centers, ascending
     t_eigenvalues: np.ndarray      # l cluster centers, ascending
-    M: list                        # l subspaces, each n x k orthonormal
-    N: list                        # k subspaces, each n x l orthonormal
+    M: np.ndarray                  # l stacked subspaces, each n x k orthonormal
+    N: np.ndarray                  # k stacked subspaces, each n x l orthonormal
     grid: np.ndarray               # joint eigenvectors, column j*l+i
 
 
 def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
-    """Validate a commuting pair and tag whether both are self-adjoint."""
+    """Validate a commuting pair and tag whether both are self-adjoint.
+
+    Both tests are relative to the operators' own norms, so a rescaled pair
+    gets the same verdict; a zero operator commutes and is self-adjoint.
+    """
     rm = as_matrix(r)
     n = rm.shape[0]
     if rm.shape[1] != n:
         raise DimensionMismatch("r must be square")
     tm = as_matrix(t, rows=n, cols=n)
-    scale = max(float(np.linalg.norm(rm)) * float(np.linalg.norm(tm)), 1.0)
+    scale = float(np.linalg.norm(rm)) * float(np.linalg.norm(tm))
     if np.linalg.norm(rm @ tm - tm @ rm) > 10 * tol.residual * scale:
         raise NotCommuting("r and t do not commute within tolerance")
-    herm = (
-        np.max(np.abs(rm - rm.conj().T)) <= tol.residual * (np.abs(rm).max() + 1)
-        and np.max(np.abs(tm - tm.conj().T)) <= tol.residual * (np.abs(tm).max() + 1)
-    )
-    return ObservablePair(r=rm.copy(), t=tm.copy(), hermitian=bool(herm))
+    herm = all(np.max(np.abs(m - m.conj().T)) <= tol.residual * np.abs(m).max()
+               for m in (rm, tm))
+    return ObservablePair(r=rm, t=tm, hermitian=herm)
 
 
-def _eigen_data(m: np.ndarray, hermitian: bool, tol: Tolerance):
-    """Eigenvalues, cluster index lists, and orthonormal eigenspace bases."""
+def _centers(vals: np.ndarray, clusters: list) -> np.ndarray:
+    """Cluster means, real when no mean has an imaginary part."""
+    centers = np.array([vals[c].mean() for c in clusters])
+    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
+        centers = centers.real
+    return centers
+
+
+def _fibers(t: np.ndarray, hermitian: bool, tol: Tolerance):
+    """Eigenvalue cluster centers of t and its eigenspaces, the fibers, as an
+    (l, n, k) stack of orthonormal bases; all l must have one dimension k."""
     if hermitian:
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = np.linalg.eigh(t)
     else:
-        vals, vecs = np.linalg.eig(m)
+        vals, vecs = np.linalg.eig(t)
         if np.linalg.cond(vecs) >= _COND_LIMIT:
             raise NotDiagonalizable(
                 "eigenvector matrix too ill-conditioned to trust")
     clusters = cluster_values(vals, tol)
-    spaces = []
-    for c in clusters:
-        cols = vecs[:, c]
-        q, _ = np.linalg.qr(cols)
-        spaces.append(q)
-    centers = np.array([vals[c].mean() for c in clusters])
-    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
-        centers = centers.real
-    return centers, spaces
+    n, l = t.shape[0], len(clusters)
+    sizes = [c.size for c in clusters]
+    if sizes != [n // l] * l:
+        raise MultiplicityViolation(
+            f"eigenvalue multiplicities {sizes} of t are not all equal")
+    fibers = vecs[:, np.concatenate(clusters)].reshape(n, l, n // l)
+    fibers = fibers.transpose(1, 0, 2)
+    if not hermitian:  # orthonormalize each eigenspace basis
+        fibers = np.linalg.qr(fibers)[0]
+    return _centers(vals, clusters), fibers
+
+
+def _characteristic_sets(p: ObservablePair,
+                         tol: Tolerance) -> CharacteristicSets:
+    """The eigenspaces of t are the fibers; r restricted to each fiber has
+    one eigenvalue in each of r's k clusters, and its eigenvectors are the
+    grid cells of that fiber."""
+    n = p.r.shape[0]
+    t_centers, fibers = _fibers(p.t, p.hermitian, tol)
+    l, k = fibers.shape[0], fibers.shape[2]
+    blocks = _restriction(p.r, fibers, tol)                  # (l, k, k)
+    if blocks is None:
+        raise JointDegeneracy(
+            "eigenspace of t is not invariant under r within tolerance")
+    if p.hermitian:
+        fvals, fvecs = np.linalg.eigh(
+            (blocks + blocks.conj().transpose(0, 2, 1)) / 2)
+    else:
+        fvals, fvecs = np.linalg.eig(blocks)
+        if np.max(np.linalg.cond(fvecs)) >= _COND_LIMIT:
+            raise NotDiagonalizable(
+                "restricted eigenvector matrix too ill-conditioned")
+
+    # r's spectrum is the union of the fiber spectra
+    pooled = fvals.reshape(-1)
+    clusters = cluster_values(pooled, tol)
+    sizes = [c.size for c in clusters]
+    if sizes != [l] * k:
+        raise MultiplicityViolation(
+            f"eigenvalue multiplicities {sizes} of r do not tile dimension "
+            f"{n} as {k} x {l}")
+    labels = np.empty(n, dtype=np.intp)
+    labels[np.concatenate(clusters)] = np.repeat(np.arange(k), l)
+    labels = labels.reshape(l, k)
+    if np.any(np.sort(labels, axis=1) != np.arange(k)):
+        raise JointDegeneracy(
+            "joint eigenspace structure is not a one-dimensional grid")
+
+    cells = (fibers @ fvecs).transpose(1, 0, 2).reshape(n, n)
+    grid = np.empty((n, n), dtype=np.complex128)
+    grid[:, (labels * l + np.arange(l)[:, None]).reshape(-1)] = phase_fix(
+        cells / np.linalg.norm(cells, axis=0))
+    s = np.linalg.svd(grid, compute_uv=False)
+    if not p.hermitian and s[0] >= _COND_LIMIT * s[-1]:
+        raise NotDiagonalizable(
+            "joint eigenvector grid too ill-conditioned to trust")
+    if singular_rank(s, tol) < n:
+        raise JointDegeneracy("joint eigenvectors are not linearly independent")
+
+    n_spaces = grid.reshape(n, k, l).transpose(1, 0, 2)     # (k, n, l)
+    if not p.hermitian:
+        n_spaces = np.linalg.qr(n_spaces)[0]
+    r_centers = _centers(pooled, clusters)
+    for a in (r_centers, t_centers, fibers, n_spaces, grid):
+        a.flags.writeable = False
+    return CharacteristicSets(
+        k=k, l=l,
+        r_eigenvalues=r_centers, t_eigenvalues=t_centers,
+        M=fibers, N=n_spaces, grid=grid,
+    )
 
 
 def verify_standard_complete(p: ObservablePair,
@@ -103,64 +186,14 @@ def verify_standard_complete(p: ObservablePair,
 
     Each eigenvalue of r must have multiplicity l, each eigenvalue of t
     multiplicity k, and every joint eigenspace must be one-dimensional; the
-    joint eigenvectors, ordered j*l+i, form the grid.
+    joint eigenvectors, ordered j*l+i, form the grid.  The result is kept on
+    the pair, once per tolerance, and its arrays are read-only; a pair that
+    fails is checked again on every call.
     """
-    n = p.r.shape[0]
-    r_centers, n_spaces = _eigen_data(p.r, p.hermitian, tol)
-    t_centers, m_spaces = _eigen_data(p.t, p.hermitian, tol)
-    k = len(r_centers)
-    l = len(t_centers)
-    if k * l != n:
-        raise MultiplicityViolation(
-            f"{k} x {l} eigenvalue grid does not tile dimension {n}")
-    for j, sp in enumerate(n_spaces):
-        if sp.shape[1] != l:
-            raise MultiplicityViolation(
-                f"eigenvalue {r_centers[j]} of r has multiplicity "
-                f"{sp.shape[1]}, expected {l}")
-    for i, sp in enumerate(m_spaces):
-        if sp.shape[1] != k:
-            raise MultiplicityViolation(
-                f"eigenvalue {t_centers[i]} of t has multiplicity "
-                f"{sp.shape[1]}, expected {k}")
-
-    spread = float(np.max(np.abs(r_centers[:, None] - r_centers[None, :]))) \
-        if k > 1 else 0.0
-    match_tol = max(tol.eig_cluster * (spread + 1.0), 1e-8)
-
-    grid = np.zeros((n, n), dtype=np.complex128)
-    for i, pi in enumerate(m_spaces):
-        # r leaves each eigenspace of t invariant since [r, t] = 0
-        ri = _restriction(p.r, pi, tol)
-        if ri is None:
-            raise JointDegeneracy(
-                "eigenspace of t is not invariant under r within tolerance")
-        if p.hermitian:
-            fvals, fvecs = np.linalg.eigh((ri + ri.conj().T) / 2)
-        else:
-            fvals, fvecs = np.linalg.eig(ri)
-            if np.linalg.cond(fvecs) >= _COND_LIMIT:
-                raise NotDiagonalizable(
-                    "restricted eigenvector matrix too ill-conditioned")
-        seen = set()
-        for m_idx in range(k):
-            dists = np.abs(fvals[m_idx] - r_centers)
-            j = int(np.argmin(dists))
-            if dists[j] > match_tol or j in seen:
-                raise JointDegeneracy(
-                    "joint eigenspace structure is not a one-dimensional grid")
-            seen.add(j)
-            vec = pi @ fvecs[:, m_idx]
-            vec = phase_fix(vec / np.linalg.norm(vec))
-            grid[:, j * l + i] = vec
-
-    if numeric_rank(grid, tol) < n:
-        raise JointDegeneracy("joint eigenvectors are not linearly independent")
-    return CharacteristicSets(
-        k=k, l=l,
-        r_eigenvalues=r_centers, t_eigenvalues=t_centers,
-        M=m_spaces, N=n_spaces, grid=grid,
-    )
+    cs = p._memo.get(tol)
+    if cs is None:
+        cs = p._memo[tol] = _characteristic_sets(p, tol)
+    return cs
 
 
 def tps_from_observables(p: ObservablePair,
@@ -200,7 +233,7 @@ def complementary_pair(p: ObservablePair, cs: CharacteristicSets,
     return observable_pair(r_tilde, p.t, tol)
 
 
-def _match_sets(spaces1: list, spaces2: list, thresh: float) -> bool:
+def _match_sets(spaces1, spaces2, thresh: float) -> bool:
     """Whether the two subspace families coincide as unordered sets."""
     if len(spaces1) != len(spaces2):
         return False
@@ -218,12 +251,14 @@ def _match_sets(spaces1: list, spaces2: list, thresh: float) -> bool:
     return True
 
 
-def _restriction(op: np.ndarray, p: np.ndarray, tol: Tolerance):
-    """Restrict an operator to an invariant subspace with orthonormal basis p.
-    Returns None when the subspace is in fact not invariant."""
-    sub = p.conj().T @ op @ p
+def _restriction(op: np.ndarray, spaces: np.ndarray, tol: Tolerance):
+    """Restrict an operator to invariant subspaces, given as an (m, n, d)
+    stack of orthonormal bases; returns the (m, d, d) stack of restrictions,
+    or None when some subspace is in fact not invariant."""
+    image = op @ spaces
+    sub = spaces.conj().transpose(0, 2, 1) @ image
     scale = float(np.linalg.norm(op)) + 1.0
-    if np.linalg.norm(op @ p - p @ sub) > 1e-7 * scale:
+    if np.max(np.linalg.norm(image - spaces @ sub, axis=(1, 2))) > 1e-7 * scale:
         return None
     return sub
 
@@ -246,7 +281,7 @@ def _intertwiner(pair_i: tuple, pair_0: tuple, tol: Tolerance):
     return None
 
 
-def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
+def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: np.ndarray,
                     tol: Tolerance):
     """Evaluate one arm of the complementarity test.
 
@@ -256,22 +291,19 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: list,
     an invertible intertwiner onto it makes every other restriction similar
     to it, hence irreducible too.
     """
-    restr = []
-    for p in spaces:
-        a = _restriction(op1, p, tol)
-        b = _restriction(op2, p, tol)
-        if a is None or b is None:
-            return None
-        restr.append((a, b))
-    if not _trivial_joint_commutant(list(restr[0])):
+    a = _restriction(op1, spaces, tol)
+    b = _restriction(op2, spaces, tol)
+    if a is None or b is None:
         return None
-    fiber_maps = [np.eye(restr[0][0].shape[0], dtype=np.complex128)]
-    for pair in restr[1:]:
-        x = _intertwiner(pair, restr[0], tol)
+    if not _trivial_joint_commutant([a[0], b[0]]):
+        return None
+    fiber_maps = [np.eye(a.shape[1], dtype=np.complex128)]
+    for pair in zip(a[1:], b[1:]):
+        x = _intertwiner(pair, (a[0], b[0]), tol)
         if x is None:
             return None
         fiber_maps.append(x)
-    return restr[0][0], fiber_maps
+    return a[0], fiber_maps
 
 
 def _complementary_data(p1: ObservablePair, p2: ObservablePair,
@@ -316,9 +348,8 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
 
     fvals, fvecs = np.linalg.eig(a0)
     p0 = spaces[0]
-    vecs0 = [p0 @ fvecs[:, j] for j in np.lexsort((fvals.imag, fvals.real))]
-    coords0 = np.column_stack(
-        [p0.conj().T @ phase_fix(v / np.linalg.norm(v)) for v in vecs0])
+    vecs0 = p0 @ fvecs[:, np.lexsort((fvals.imag, fvals.real))]
+    coords0 = p0.conj().T @ phase_fix(vecs0 / np.linalg.norm(vecs0, axis=0))
     fibers = [p @ (x @ coords0) for p, x in zip(spaces, fiber_maps)]
     basis = grid_from_fibers(fibers, axis=2 if mode == "M" else 1)
 

@@ -1,12 +1,22 @@
 """Independent slow-but-exact reference computations used to pin expected
-test values. Nothing here touches the package's numerics."""
+test values. Nothing here touches the package's numerics, except the
+reference characteristic-set kernel at the end, which reuses the package's
+clustering, phase and rank helpers and is kept as the per-fiber loop that the
+batched kernel in tpskit.observables replaced."""
 
 from fractions import Fraction
 import math
 
 import numpy as np
 
-from tpskit.errors import GridOverflow
+from tpskit.core import cluster_values, numeric_rank, phase_fix
+from tpskit.errors import (
+    GridOverflow,
+    JointDegeneracy,
+    MultiplicityViolation,
+    NotDiagonalizable,
+)
+from tpskit.observables import CharacteristicSets
 
 
 def q(re, im=0):
@@ -121,3 +131,102 @@ def substitute_exact(coeffs, subs, target_vars, target_degree):
                 f"exceeds the {d} x {d} target grid")
         out[a, b] = complex(float(re), float(im))
     return out
+
+
+# -- reference characteristic sets: one eigendecomposition of each operator
+# and a per-fiber matching loop
+
+_COND_LIMIT = 1e6
+
+
+def _reference_eigen_data(m, hermitian, tol):
+    """Eigenvalues, cluster index lists, and orthonormal eigenspace bases."""
+    if hermitian:
+        vals, vecs = np.linalg.eigh(m)
+    else:
+        vals, vecs = np.linalg.eig(m)
+        if np.linalg.cond(vecs) >= _COND_LIMIT:
+            raise NotDiagonalizable(
+                "eigenvector matrix too ill-conditioned to trust")
+    clusters = cluster_values(vals, tol)
+    spaces = []
+    for c in clusters:
+        cols = vecs[:, c]
+        q, _ = np.linalg.qr(cols)
+        spaces.append(q)
+    centers = np.array([vals[c].mean() for c in clusters])
+    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
+        centers = centers.real
+    return centers, spaces
+
+
+def _reference_restriction(op, p, tol):
+    """Restrict an operator to an invariant subspace with orthonormal basis p.
+    Returns None when the subspace is in fact not invariant."""
+    sub = p.conj().T @ op @ p
+    scale = float(np.linalg.norm(op)) + 1.0
+    if np.linalg.norm(op @ p - p @ sub) > 1e-7 * scale:
+        return None
+    return sub
+
+
+def reference_standard_complete(p, tol):
+    """Characteristic sets of an observable pair: r and t each diagonalized
+    on the whole space, then r diagonalized on every eigenspace of t and its
+    fiber eigenvalues matched to r's cluster centers."""
+    n = p.r.shape[0]
+    r_centers, n_spaces = _reference_eigen_data(p.r, p.hermitian, tol)
+    t_centers, m_spaces = _reference_eigen_data(p.t, p.hermitian, tol)
+    k = len(r_centers)
+    l = len(t_centers)
+    if k * l != n:
+        raise MultiplicityViolation(
+            f"{k} x {l} eigenvalue grid does not tile dimension {n}")
+    for j, sp in enumerate(n_spaces):
+        if sp.shape[1] != l:
+            raise MultiplicityViolation(
+                f"eigenvalue {r_centers[j]} of r has multiplicity "
+                f"{sp.shape[1]}, expected {l}")
+    for i, sp in enumerate(m_spaces):
+        if sp.shape[1] != k:
+            raise MultiplicityViolation(
+                f"eigenvalue {t_centers[i]} of t has multiplicity "
+                f"{sp.shape[1]}, expected {k}")
+
+    spread = float(np.max(np.abs(r_centers[:, None] - r_centers[None, :]))) \
+        if k > 1 else 0.0
+    match_tol = max(tol.eig_cluster * (spread + 1.0), 1e-8)
+
+    grid = np.zeros((n, n), dtype=np.complex128)
+    for i, pi in enumerate(m_spaces):
+        # r leaves each eigenspace of t invariant since [r, t] = 0
+        ri = _reference_restriction(p.r, pi, tol)
+        if ri is None:
+            raise JointDegeneracy(
+                "eigenspace of t is not invariant under r within tolerance")
+        if p.hermitian:
+            fvals, fvecs = np.linalg.eigh((ri + ri.conj().T) / 2)
+        else:
+            fvals, fvecs = np.linalg.eig(ri)
+            if np.linalg.cond(fvecs) >= _COND_LIMIT:
+                raise NotDiagonalizable(
+                    "restricted eigenvector matrix too ill-conditioned")
+        seen = set()
+        for m_idx in range(k):
+            dists = np.abs(fvals[m_idx] - r_centers)
+            j = int(np.argmin(dists))
+            if dists[j] > match_tol or j in seen:
+                raise JointDegeneracy(
+                    "joint eigenspace structure is not a one-dimensional grid")
+            seen.add(j)
+            vec = pi @ fvecs[:, m_idx]
+            vec = phase_fix(vec / np.linalg.norm(vec))
+            grid[:, j * l + i] = vec
+
+    if numeric_rank(grid, tol) < n:
+        raise JointDegeneracy("joint eigenvectors are not linearly independent")
+    return CharacteristicSets(
+        k=k, l=l,
+        r_eigenvalues=r_centers, t_eigenvalues=t_centers,
+        M=m_spaces, N=n_spaces, grid=grid,
+    )

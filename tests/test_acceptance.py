@@ -26,6 +26,7 @@ from tpskit import (
     verify_complementary,
     verify_standard_complete,
 )
+from tpskit import observables
 from tpskit.algebra import contains, span_equal, _intersection_dim, _projection_residual
 from tpskit.core import DEFAULT_TOL
 from tpskit.examples import bell_states, rotation_x_pi, total_sz_squared
@@ -88,22 +89,6 @@ def test_criterion_3_observable_induced_separability():
             assert schmidt(w, tps).rank == 1, name
 
 
-def _match_families(fam1, fam2, thresh=1e-10):
-    used = set()
-    for p in fam1:
-        hit = None
-        for idx, q in enumerate(fam2):
-            if idx in used or q.shape[1] != p.shape[1]:
-                continue
-            if np.linalg.norm(p - q @ (q.conj().T @ p)) <= thresh:
-                hit = idx
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return len(used) == len(fam2)
-
-
 def test_criterion_4_equivalent_complete_sets():
     with criterion(4, "two observable pairs share characteristic subspaces"):
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -112,8 +97,8 @@ def test_criterion_4_equivalent_complete_sets():
         pair2 = observable_pair(np.kron(sx, sx), np.kron(sz, sz))
         cs1 = verify_standard_complete(pair1)
         cs2 = verify_standard_complete(pair2)
-        assert _match_families(cs1.M, cs2.M)
-        assert _match_families(cs1.N, cs2.N)
+        assert observables._match_sets(cs1.M, cs2.M, 1e-10)
+        assert observables._match_sets(cs1.N, cs2.N, 1e-10)
         t1 = tps_from_observables(pair1)
         t2 = tps_from_observables(pair2)
         assert tps_equivalent(t1, t2).equivalent

@@ -14,6 +14,8 @@ from tpskit import god_given, observable_pair
 from tpskit.algebra import tps_to_tpp
 from tpskit.serialize import algebra_to_json
 
+from util import random_standard_pair
+
 
 def run_cli(args):
     out = io.StringIO()
@@ -158,6 +160,19 @@ def test_examples_match_golden_outputs():
                        ("example_bargmann_degree3",
                         ["example", "bargmann", "--degree", "3"])):
         code, out, err = run_cli(argv)
+        assert code == 0 and err == "", name
+        with open(os.path.join(GOLDEN, name + ".json")) as fh:
+            assert_same_json(json.loads(out), json.load(fh), name)
+
+
+def test_build_tps_matches_golden_outputs(tmp_path):
+    # fixed 2x3 pairs: a self-adjoint one (unitary grid) and a general one
+    for name, seed, unitary in (("build_tps_hermitian", 90, True),
+                                ("build_tps_general", 91, False)):
+        r, t = random_standard_pair(np.random.default_rng(seed), 2, 3, unitary)
+        obs = write_json(tmp_path / f"{name}.json",
+                         observable_pair_to_json(observable_pair(r, t)))
+        code, out, err = run_cli(["build-tps", "--observables", obs])
         assert code == 0 and err == "", name
         with open(os.path.join(GOLDEN, name + ".json")) as fh:
             assert_same_json(json.loads(out), json.load(fh), name)

@@ -15,15 +15,23 @@ from tpskit import (
     verify_standard_complete,
 )
 from tpskit.algebra import contains
+from tpskit.core import DEFAULT_TOL, Tolerance, subspace_residual
 from tpskit.errors import (
+    JointDegeneracy,
     MultiplicityViolation,
     NotCommuting,
     NotComplementary,
     NotDiagonalizable,
+    TpskitError,
 )
-from tpskit.observables import _chain_matrix
+from tpskit.observables import ObservablePair, _chain_matrix
 
+from oracles import reference_standard_complete
 from util import random_invertible, random_standard_pair, random_unitary
+
+SX = np.array([[0, 1], [1, 0]], dtype=complex)
+SZ = np.diag([1.0, -1.0]).astype(complex)
+I2 = np.eye(2, dtype=complex)
 
 
 def test_pair_requires_commuting():
@@ -203,3 +211,128 @@ def test_non_isomorphic_fibers_fail_at_the_intertwiner(monkeypatch):
             with pytest.raises(NotComplementary):
                 tpp_from_complementary(p1, p2)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("alpha", [1e-5, 1e-12])
+def test_scaled_non_commuting_pair_rejected(alpha):
+    r = alpha * np.kron(SX, I2)
+    t = alpha * (np.kron(SZ, I2) + 0.5 * np.kron(I2, SZ))
+    with pytest.raises(NotCommuting):
+        observable_pair(r, t)
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_rescaled_commuting_pair_keeps_its_tag(unitary):
+    rng = np.random.default_rng(52)
+    r, t = random_standard_pair(rng, 2, 3, unitary)
+    for alpha in (1.0, 1e-12, 1e12):
+        assert observable_pair(alpha * r, alpha * t).hermitian is unitary
+
+
+def test_zero_operator_commutes_and_is_self_adjoint():
+    z = np.zeros((4, 4), dtype=complex)
+    assert observable_pair(z, np.kron(SZ, I2)).hermitian
+    assert observable_pair(z, z).hermitian
+    assert not observable_pair(z, np.kron(np.array([[1, 1], [0, 1]]), I2)).hermitian
+
+
+PARITY_SHAPES = [(1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 6)]
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_kernel_matches_reference_loop(unitary):
+    rng = np.random.default_rng(53 if unitary else 54)
+    for k, l in PARITY_SHAPES:
+        r, t = random_standard_pair(rng, k, l, unitary)
+        p = observable_pair(r, t)
+        want = reference_standard_complete(p, DEFAULT_TOL)
+        got = verify_standard_complete(p)
+        shape = (k, l, unitary)
+        assert (got.k, got.l) == (want.k, want.l) == (k, l), shape
+        for a, b in ((got.r_eigenvalues, want.r_eigenvalues),
+                     (got.t_eigenvalues, want.t_eigenvalues)):
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= 1e-12, shape
+        assert np.max(np.abs(got.grid - want.grid)) <= 1e-10, shape
+        for fam_got, fam_want in ((got.M, want.M), (got.N, want.N)):
+            assert len(fam_got) == len(fam_want), shape
+            for a, b in zip(fam_got, fam_want):
+                assert a.shape == b.shape, shape
+                assert subspace_residual(a, b) <= 1e-10, shape
+
+
+FAILING_PAIRS = {
+    "multiplicity": (np.diag([0.0, 0, 0, 1]), np.diag([0.0, 1, 2, 3]), True,
+                     MultiplicityViolation),
+    "defective": (np.kron(np.array([[1, 1], [0, 1]]), I2),
+                  np.kron(I2, np.diag([1.0, 2.0])), False, NotDiagonalizable),
+    # anticommuting, so the eigenspaces of t are not invariant under r
+    "non_invariant": (np.kron(SX, I2), np.kron(SZ, SZ), True, JointDegeneracy),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_PAIRS))
+def test_failures_match_reference_loop(name):
+    r, t, herm, expected = FAILING_PAIRS[name]
+    p = ObservablePair(r=r, t=t, hermitian=herm)
+    with pytest.raises(TpskitError) as want:
+        reference_standard_complete(p, DEFAULT_TOL)
+    with pytest.raises(TpskitError) as got:
+        verify_standard_complete(p)
+    assert type(got.value) is type(want.value) is expected
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = tpskit.observables._characteristic_sets
+
+    def counted(p, tol):
+        calls.append(p)
+        return kernel(p, tol)
+
+    monkeypatch.setattr(tpskit.observables, "_characteristic_sets", counted)
+    return calls
+
+
+def test_kernel_runs_once_per_pair(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    r, t = random_standard_pair(np.random.default_rng(55), 2, 3)
+    p1 = observable_pair(r, t)
+    p2 = complementary_pair(p1, verify_standard_complete(p1))
+    assert verify_complementary(p1, p2)
+    tpp_from_complementary(p1, p2)
+    assert len(calls) == 2 and calls[0] is p1 and calls[1] is p2
+
+
+def test_other_tolerance_recomputes(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    r, t = random_standard_pair(np.random.default_rng(56), 2, 2)
+    p = observable_pair(r, t)
+    cs = verify_standard_complete(p)
+    loose = Tolerance(eig_cluster=1e-7)
+    other = verify_standard_complete(p, loose)
+    assert len(calls) == 2 and other is not cs
+    assert verify_standard_complete(p) is cs
+    assert verify_standard_complete(p, Tolerance(eig_cluster=1e-7)) is other
+    assert len(calls) == 2
+
+
+def test_pair_and_sets_are_read_only():
+    r, t = random_standard_pair(np.random.default_rng(57), 2, 2)
+    p = observable_pair(r, t)
+    cs = verify_standard_complete(p)
+    for arr in (p.r, p.t, cs.grid, cs.M, cs.N, cs.r_eigenvalues):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the caller's arrays are copied, not frozen
+    r[0, 0] += 1
+    assert p.r[0, 0] != r[0, 0]
+
+
+def test_failing_pair_not_memoised(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    r, t, herm, expected = FAILING_PAIRS["multiplicity"]
+    p = ObservablePair(r=r, t=t, hermitian=herm)
+    for _ in range(2):
+        with pytest.raises(expected):
+            verify_standard_complete(p)
+    assert len(calls) == 2
