@@ -14,12 +14,14 @@ a complex Gaussian combination of its span basis.  Adjoint closure is implied
 by a unitary witness, so it is not checked beforehand.  The six structural
 checks (commutation, adjoint closure, square dimensions, mutual commutants,
 trivial centers, full join) run only when no witness is found, as
-diagnostics of the failure.
+diagnostics of the failure.  The verdict, witness included, is kept on the
+first algebra per partner and Tolerance, so certifying a pair and then
+building its grid runs the certification once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +47,19 @@ from .tps import Tps, is_inner_product_compatible, tps_new
 
 @dataclass(frozen=True, eq=False)
 class OperatorAlgebra:
+    """A multiplication-closed span of n x n matrices.  span_basis is a
+    private read-only copy, so the verdicts kept in _memo (by partner and
+    Tolerance) stay valid."""
+
     dim_space: int                 # n: algebra elements are n x n
     span_basis: np.ndarray         # (dim, n, n), Frobenius-orthonormal
     unital: bool
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        basis = np.array(self.span_basis, dtype=np.complex128)
+        basis.flags.writeable = False
+        object.__setattr__(self, "span_basis", basis)
 
     @property
     def dim(self) -> int:
@@ -70,6 +82,7 @@ class TppVerdict:
     k: int
     l: int
     checks: dict
+    tps: Tps | None = field(default=None, compare=False, repr=False)  # witness
 
 
 def _svd_rows(flat: np.ndarray):
@@ -203,10 +216,12 @@ def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
 
 
 def contains(a: OperatorAlgebra, m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a matrix lies in the algebra's span (projection residual)."""
+    """Whether a matrix lies in the algebra's span: its projection residual
+    is small relative to its own norm, so m and any multiple of it get the
+    same answer."""
     mat = as_matrix(m, rows=a.dim_space, cols=a.dim_space)
-    scale = max(float(np.linalg.norm(mat)), 1.0)
-    return bool(_projection_residual(mat[None], a.flat) <= 1e-8 * scale)
+    return bool(_projection_residual(mat[None], a.flat)
+                <= 1e-8 * float(np.linalg.norm(mat)))
 
 
 def _intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra,
@@ -369,6 +384,29 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     return out if _induces(out, a1, a2, tol) else None
 
 
+def _certify(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
+             tol: Tolerance) -> TppVerdict:
+    """The verdict of the pair, kept in a1._memo[(a2, tol)]: the witness
+    drawn from `seed` when there is one, else the six checks of `_diagnose`.
+    A pair that passes all six checks without a witness is not kept, so the
+    next call draws again; a refused input raises and is not kept either."""
+    key = (a2, tol)
+    verdict = a1._memo.get(key)
+    if verdict is not None:
+        return verdict
+    t = _witness(a1, a2, seed, tol)
+    if t is not None:
+        t.basis.flags.writeable = False
+        verdict = TppVerdict(is_tpp=True, k=t.k, l=t.l,
+                             checks=dict.fromkeys(_CHECKS, True), tps=t)
+    else:
+        verdict = _diagnose(a1, a2, tol)
+        if verdict.is_tpp:
+            return verdict
+    a1._memo[key] = verdict
+    return verdict
+
+
 def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
            tol: Tolerance = DEFAULT_TOL) -> TppVerdict:
     """Certify that an ordered algebra pair factors the full matrix algebra.
@@ -382,28 +420,31 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
     mutual commutants, trivial centers and a join of full dimension.  Only
     star-closed pairs are certified; star-closure is implied by the
     witness, not checked before it.
+
+    The verdict carries its witness in `tps` (None on a rejection) and is
+    kept on a1 per partner a2 and Tolerance: a later `is_tpp` or
+    `tpp_to_tps` of the same pair returns it without certifying again.  A
+    pair with no kept verdict is drawn from seed 0.
     """
-    t = _witness(a1, a2, 0, tol)
-    if t is not None:
-        return TppVerdict(is_tpp=True, k=t.k, l=t.l,
-                          checks=dict.fromkeys(_CHECKS, True))
-    return _diagnose(a1, a2, tol)
+    return _certify(a1, a2, 0, tol)
 
 
 def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
                tol: Tolerance = DEFAULT_TOL) -> Tps:
     """Construct a grid basis realizing a star-closed factor pair.
 
-    Returns the certification witness built from the generic draws of
-    `seed` (see `_witness`), which is always an inner-product-compatible
-    (unitary) grid.  Without one, the six checks of `is_tpp` are
-    evaluated as diagnostics: NotATpp names the checks that fail, and
-    GenericElementFailure means they all pass but the draws found no basis.
+    Returns the certification witness of the pair's verdict (see `is_tpp`),
+    which is always an inner-product-compatible (unitary) grid with a
+    read-only basis.  The verdict is kept on a1 per partner and Tolerance,
+    so `seed` picks the generic draws (see `_witness`) only for a pair that
+    has no kept verdict yet; any two witnesses are equivalent.  Without a
+    witness: NotATpp names the checks that fail, and GenericElementFailure
+    means they all pass but the draws found no basis (that outcome is not
+    kept, so a call with another seed draws again).
     """
-    out = _witness(a1, a2, seed, tol)
-    if out is not None:
-        return out
-    verdict = _diagnose(a1, a2, tol)
+    verdict = _certify(a1, a2, seed, tol)
+    if verdict.tps is not None:
+        return verdict.tps
     if not verdict.is_tpp:
         failed = [name for name, ok in verdict.checks.items() if not ok]
         raise NotATpp(f"pair fails certification: {', '.join(failed)}")

@@ -44,7 +44,8 @@ _COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 @dataclass(frozen=True, eq=False)
 class ObservablePair:
     """A commuting operator pair.  r and t are private read-only copies, so
-    the characteristic sets kept in _memo (by Tolerance) stay valid."""
+    the characteristic sets kept in _memo (by Tolerance) and the
+    complementarity data (by partner and Tolerance) stay valid."""
 
     r: np.ndarray
     t: np.ndarray
@@ -254,11 +255,12 @@ def _match_sets(spaces1, spaces2, thresh: float) -> bool:
 def _restriction(op: np.ndarray, spaces: np.ndarray, tol: Tolerance):
     """Restrict an operator to invariant subspaces, given as an (m, n, d)
     stack of orthonormal bases; returns the (m, d, d) stack of restrictions,
-    or None when some subspace is in fact not invariant."""
+    or None when some subspace is in fact not invariant (its residual is
+    bounded relative to the operator's norm)."""
     image = op @ spaces
     sub = spaces.conj().transpose(0, 2, 1) @ image
-    scale = float(np.linalg.norm(op)) + 1.0
-    if np.max(np.linalg.norm(image - spaces @ sub, axis=(1, 2))) > 1e-7 * scale:
+    bound = 1e-7 * float(np.linalg.norm(op))
+    if np.max(np.linalg.norm(image - spaces @ sub, axis=(1, 2))) > bound:
         return None
     return sub
 
@@ -308,6 +310,16 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: np.ndarray,
 
 def _complementary_data(p1: ObservablePair, p2: ObservablePair,
                         tol: Tolerance):
+    """The complementarity data of the pair, None included, kept in
+    p1._memo[(p2, tol)]; a pair whose characteristic sets raise is not kept."""
+    key = (p2, tol)
+    if key not in p1._memo:
+        p1._memo[key] = _find_complementary_data(p1, p2, tol)
+    return p1._memo[key]
+
+
+def _find_complementary_data(p1: ObservablePair, p2: ObservablePair,
+                             tol: Tolerance):
     cs1 = verify_standard_complete(p1, tol)
     cs2 = verify_standard_complete(p2, tol)
     thresh = 1e-7
@@ -325,7 +337,9 @@ def _complementary_data(p1: ObservablePair, p2: ObservablePair,
 def verify_complementary(p1: ObservablePair, p2: ObservablePair,
                          tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the pairs share one characteristic family and act irreducibly
-    (and fiberwise-isomorphically) on it."""
+    (and fiberwise-isomorphically) on it.  The data behind the answer is
+    kept on p1 per partner and Tolerance, so `tpp_from_complementary` of
+    the same pair does not test it again."""
     return _complementary_data(p1, p2, tol) is not None
 
 

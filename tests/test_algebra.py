@@ -16,10 +16,10 @@ from tpskit import (
     tps_to_tpp,
 )
 from tpskit.algebra import OperatorAlgebra, _diagnose, contains
-from tpskit.core import DEFAULT_TOL
+from tpskit.core import DEFAULT_TOL, Tolerance
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
-from util import SHAPES, forbid_algebra, random_invertible, random_unitary
+from util import SHAPES, count_calls, forbid_algebra, random_invertible, random_unitary
 
 XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
@@ -332,3 +332,93 @@ def test_every_witness_is_inner_product_compatible():
         a1, a2 = tps_to_tpp(tps_new(k, l, random_unitary(rng, k * l)))
         for seed in (0, 1, 2):
             assert is_inner_product_compatible(tpp_to_tps(a1, a2, seed=seed))
+
+
+def test_every_seed_draws_an_equivalent_unitary_witness():
+    # tpp_to_tps returns the kept witness, so the seeds are exercised here
+    rng = np.random.default_rng(50)
+    for k, l in SHAPES + [(1, 4), (4, 1)]:
+        t = tps_new(k, l, random_unitary(rng, k * l))
+        a1, a2 = tps_to_tpp(t)
+        witnesses = [tpskit.algebra._witness(a1, a2, seed, DEFAULT_TOL)
+                     for seed in (0, 1, 2)]
+        for w in witnesses:
+            assert w is not None and w.shape == (k, l)
+            assert is_inner_product_compatible(w)
+            assert tps_equivalent(t, w).equivalent
+        for w in witnesses[1:]:
+            assert tps_equivalent(witnesses[0], w).equivalent
+
+
+def test_contains_is_scale_invariant():
+    a1, a2 = tps_to_tpp(god_given(2, 2))
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    inside = np.kron(np.diag([1.0, -1.0]), np.eye(2))   # in a1 only
+    outside = np.kron(np.eye(2), sx)                     # in a2 only
+    for alpha in (1.0, 1e-9, 1e-12):
+        assert contains(a1, alpha * inside) and contains(a2, alpha * outside)
+        assert not contains(a1, alpha * outside)
+        assert not contains(a2, alpha * inside)
+    assert contains(a1, np.zeros((4, 4)))
+
+
+def test_certify_then_build_draws_one_witness(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.algebra, "_witness")
+    t = tps_new(2, 3, random_unitary(np.random.default_rng(51), 6))
+    a1, a2 = tps_to_tpp(t)
+    assert is_tpp(a1, a2).is_tpp
+    back = tpp_to_tps(a1, a2, seed=7)
+    assert tpp_to_tps(a1, a2) is back
+    assert len(calls) == 1 and calls[0][2] == 0
+    assert tps_equivalent(t, back).equivalent
+
+
+def test_rejected_pair_is_diagnosed_once(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.algebra, "_diagnose")
+    diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
+    verdict = is_tpp(diag, diag)
+    assert not verdict.checks["trivial_center"] and verdict.tps is None
+    with pytest.raises(NotATpp) as err:
+        tpp_to_tps(diag, diag)
+    assert len(calls) == 1
+    for name, ok in verdict.checks.items():
+        assert (name in str(err.value)) == (not ok), name
+
+
+def test_other_partner_or_tolerance_recertifies(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.algebra, "_witness")
+    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(52), 4)))
+    twin = OperatorAlgebra(dim_space=4, span_basis=a2.span_basis, unital=True)
+    loose = Tolerance(eig_cluster=1e-7)
+    first = is_tpp(a1, a2)
+    assert is_tpp(a1, twin) is not first and len(calls) == 2
+    assert is_tpp(a1, a2, loose) is not first and len(calls) == 3
+    assert is_tpp(a1, a2) is first and is_tpp(a1, a2, Tolerance(eig_cluster=1e-7)).is_tpp
+    assert len(calls) == 3
+
+
+def test_pair_without_witness_is_drawn_again(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.algebra, "_witness", lambda *args: None)
+    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(53), 4)))
+    for seed in (0, 1, 2):
+        with pytest.raises(GenericElementFailure):
+            tpp_to_tps(a1, a2, seed=seed)
+    assert [args[2] for args in calls] == [0, 1, 2]
+
+
+def test_span_basis_is_a_read_only_copy():
+    basis = np.eye(2, dtype=complex).reshape(1, 2, 2) / np.sqrt(2)
+    a = OperatorAlgebra(dim_space=2, span_basis=basis, unital=True)
+    with pytest.raises(ValueError):
+        a.span_basis[0] = 0
+    basis[0, 0, 0] = 5
+    assert a.span_basis[0, 0, 0] != 5
+
+
+def test_build_after_certify_returns_the_verdicts_witness():
+    a1, a2 = tps_to_tpp(tps_new(3, 2, random_unitary(np.random.default_rng(54), 6)))
+    verdict = is_tpp(a1, a2)
+    assert is_tpp(a1, a2) is verdict
+    assert tpp_to_tps(a1, a2) is verdict.tps
+    with pytest.raises(ValueError):
+        verdict.tps.basis[0, 0] = 0

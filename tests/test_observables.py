@@ -27,7 +27,7 @@ from tpskit.errors import (
 from tpskit.observables import ObservablePair, _chain_matrix
 
 from oracles import reference_standard_complete
-from util import random_invertible, random_standard_pair, random_unitary
+from util import count_calls, random_invertible, random_standard_pair, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -336,3 +336,41 @@ def test_failing_pair_not_memoised(monkeypatch):
         with pytest.raises(expected):
             verify_standard_complete(p)
     assert len(calls) == 2
+
+
+def test_check_then_build_solves_the_condition_once(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.observables, "_condition_data")
+    r, t = random_standard_pair(np.random.default_rng(58), 2, 3)
+    p1 = observable_pair(r, t)
+    p2 = complementary_pair(p1, verify_standard_complete(p1))
+    assert verify_complementary(p1, p2)
+    a1, a2, _ = tpp_from_complementary(p1, p2)
+    assert len(calls) == 1
+    assert contains(a1, p2.r) and contains(a2, p2.t)
+
+
+def test_other_partner_or_tolerance_retests_complementarity(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.observables, "_condition_data")
+    r, t = random_standard_pair(np.random.default_rng(59), 2, 2)
+    p1 = observable_pair(r, t)
+    p2 = complementary_pair(p1, verify_standard_complete(p1))
+    twin = observable_pair(p2.r, p2.t)
+    assert verify_complementary(p1, p2) and len(calls) == 1
+    assert verify_complementary(p1, twin) and len(calls) == 2
+    assert verify_complementary(p1, p2, Tolerance(eig_cluster=1e-7))
+    assert len(calls) == 3
+    # a refusal (the pair against itself) is kept too
+    for _ in range(2):
+        assert not verify_complementary(p1, p1)
+    assert len(calls) == 5
+
+
+def test_restriction_bound_is_relative_to_the_operator():
+    rng = np.random.default_rng(60)
+    u = random_unitary(rng, 4)
+    op = u @ np.diag([1.0, 2.0, 3.0, 4.0]) @ u.conj().T
+    invariant = u[:, :2].reshape(1, 4, 2)
+    other = np.eye(4, dtype=complex)[:, :2].reshape(1, 4, 2)
+    for alpha in (1.0, 1e-9):
+        assert tpskit.observables._restriction(alpha * op, invariant, DEFAULT_TOL) is not None
+        assert tpskit.observables._restriction(alpha * op, other, DEFAULT_TOL) is None

@@ -44,3 +44,17 @@ def forbid_algebra(monkeypatch, *names):
         raise AssertionError("algebra function called on a path that needs none")
     for name in names:
         monkeypatch.setattr(tpskit.algebra, name, called)
+
+
+def count_calls(monkeypatch, module, name, replacement=None):
+    """Record the arguments of every call of module.<name>, which runs
+    `replacement` instead when one is given."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return (replacement or original)(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
