@@ -29,7 +29,7 @@ from .core import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    cluster_values,
+    eigenspaces,
     grid_from_fibers,
     intertwiners,
     numeric_rank,
@@ -38,6 +38,7 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     GenericElementFailure,
+    MultiplicityViolation,
     NonUnital,
     NotATpp,
     SingularBasis,
@@ -86,15 +87,14 @@ class TppVerdict:
 
 
 def _svd_rows(flat: np.ndarray):
-    """Singular values and right vectors, falling back to the slower but
-    sturdier gesvd driver when the default one fails to converge."""
+    """Singular values and right vectors; when the SVD fails to converge it
+    is retried on the triangular factor R of flat = QR, which has the same
+    singular values and right vectors."""
     try:
         _, s, vh = np.linalg.svd(flat, full_matrices=False)
     except np.linalg.LinAlgError:
-        import scipy.linalg
-
-        _, s, vh = scipy.linalg.svd(flat, full_matrices=False,
-                                    lapack_driver="gesvd")
+        _, s, vh = np.linalg.svd(np.linalg.qr(flat, mode="r"),
+                                 full_matrices=False)
     return s, vh
 
 
@@ -300,19 +300,20 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
     return TppVerdict(is_tpp=all(checks.values()), k=k, l=l, checks=checks)
 
 
-def _draw_eigenspaces(a: OperatorAlgebra, groups: int, mult: int,
-                      frame: np.ndarray, rng: np.random.Generator,
-                      tol: Tolerance):
+def _draw_eigenspaces(a: OperatorAlgebra, groups: int, frame: np.ndarray,
+                      rng: np.random.Generator, tol: Tolerance):
     """Eigenspaces, as columns of `frame`, of a generic Hermitian element of
     the algebra compressed to the orthonormal columns of `frame`: the blocks
-    `frame @ vecs` of its `groups` eigenvalue clusters, each of `mult`
-    vectors, in ascending order; None after 16 draws."""
+    `frame @ vecs` of its `groups` equal-sized eigenvalue clusters, in
+    ascending order (see `core.eigenspaces`); None after 16 draws."""
     for _ in range(16):
         h = _draw_generic_hermitian(a, rng)
-        vals, vecs = np.linalg.eigh(frame.conj().T @ h @ frame)
-        clusters = cluster_values(vals, tol)
-        if len(clusters) == groups and all(len(c) == mult for c in clusters):
-            return [frame @ vecs[:, c] for c in clusters]
+        try:
+            _, spaces = eigenspaces(frame.conj().T @ h @ frame, True, tol)
+        except MultiplicityViolation:
+            continue
+        if len(spaces) == groups:
+            return [frame @ s for s in spaces]
     return None
 
 
@@ -359,10 +360,10 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
         return None
     k, l = dims
     rng = np.random.default_rng(seed)
-    fibers = _draw_eigenspaces(a2, l, k, np.eye(a1.dim_space), rng, tol)
+    fibers = _draw_eigenspaces(a2, l, np.eye(a1.dim_space), rng, tol)
     if fibers is None:
         return None
-    cells = _draw_eigenspaces(a1, k, 1, fibers[0], rng, tol)
+    cells = _draw_eigenspaces(a1, k, fibers[0], rng, tol)
     if cells is None:
         return None
     fiber0 = phase_fix(np.column_stack([c[:, 0] for c in cells]))
@@ -424,7 +425,8 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
     The verdict carries its witness in `tps` (None on a rejection) and is
     kept on a1 per partner a2 and Tolerance: a later `is_tpp` or
     `tpp_to_tps` of the same pair returns it without certifying again.  A
-    pair with no kept verdict is drawn from seed 0.
+    pair with no kept verdict is drawn from seed 0.  a1._memo is not
+    bounded: it keeps every partner, and its verdict, for the life of a1.
     """
     return _certify(a1, a2, 0, tol)
 

@@ -143,10 +143,14 @@ def _cmd_verify_tpp(args, tol: Tolerance) -> int:
 def _cmd_example(args, tol: Tolerance) -> int:
     if args.which == "bell":
         _emit(example_bell(tol))
-    elif args.which == "bargmann":
-        _emit(example_bargmann(args.degree if args.degree else 3, tol))
-    else:
-        _emit(example_center_of_mass(args.degree if args.degree else 4, tol))
+        return 0
+    run = example_bargmann if args.which == "bargmann" else example_center_of_mass
+    degree = {} if args.degree is None else {"d": args.degree}
+    try:
+        report = run(tol=tol, **degree)
+    except ValueError as e:  # a degree the example cannot use
+        raise InputError(f"--degree {args.degree}: {e}")
+    _emit(report)
     return 0
 
 

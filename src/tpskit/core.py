@@ -12,11 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
-    NotHermitian,
+    MultiplicityViolation,
+    NotDiagonalizable,
     NotOrthonormal,
 )
+
+COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 
 
 @dataclass(frozen=True)
@@ -101,38 +103,37 @@ def cluster_values(values: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     return [np.array(idx) for idx in groups.values()]
 
 
-def hermitian_eigendecompose(m, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as the columns of a unitary matrix.  Raises NotHermitian when
-    the input deviates from its adjoint by more than ``tol.residual``
-    entrywise.
-    """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("matrix must be square")
-    if np.max(np.abs(a - a.conj().T), initial=0.0) > tol.residual:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(str(e)) from e
-    return vals, vecs
+def cluster_centers(vals: np.ndarray, clusters: list) -> np.ndarray:
+    """Means of equal-sized clusters, real when no mean has an imaginary
+    part."""
+    centers = vals[np.concatenate(clusters)].reshape(len(clusters), -1).mean(axis=1)
+    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
+        centers = centers.real
+    return centers
 
 
-def svd(m):
-    """Singular value decomposition ``m = u @ diag(sigma) @ v†``.
-
-    Returns ``(u, sigma, v)`` with sigma descending and u, v unitary
-    (thin factors for rectangular input).
-    """
-    a = as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as e:  # pragma: no cover
-        raise ConvergenceFailure(str(e)) from e
-    return u, s, vh.conj().T
+def eigenspaces(t: np.ndarray, hermitian: bool, tol: Tolerance):
+    """Eigenvalue cluster centers of a square matrix t, ascending, and its
+    eigenspaces, the fibers, as an (l, n, k) stack of orthonormal bases; all
+    l must have one dimension k."""
+    if hermitian:
+        vals, vecs = np.linalg.eigh(t)
+    else:
+        vals, vecs = np.linalg.eig(t)
+        if np.linalg.cond(vecs) >= COND_LIMIT:
+            raise NotDiagonalizable(
+                "eigenvector matrix too ill-conditioned to trust")
+    clusters = cluster_values(vals, tol)
+    n, l = t.shape[0], len(clusters)
+    sizes = [c.size for c in clusters]
+    if sizes != [n // l] * l:
+        raise MultiplicityViolation(
+            f"eigenvalue multiplicities {sizes} of t are not all equal")
+    spaces = vecs[:, np.concatenate(clusters)].reshape(n, l, n // l)
+    spaces = spaces.transpose(1, 0, 2)
+    if not hermitian:  # orthonormalize each eigenspace basis
+        spaces = np.linalg.qr(spaces)[0]
+    return cluster_centers(vals, clusters), spaces
 
 
 def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

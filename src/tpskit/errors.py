@@ -9,10 +9,6 @@ class DimensionMismatch(TpskitError):
     pass
 
 
-class NotHermitian(TpskitError):
-    pass
-
-
 class ConvergenceFailure(TpskitError):
     pass
 

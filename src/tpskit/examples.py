@@ -150,7 +150,8 @@ def example_bargmann(d: int = 3, tol: Tolerance = DEFAULT_TOL) -> dict:
     """The four-term state that is a product for the plain monomial grid but
     entangled for the cellwise-rescaled one."""
     if d < 3:
-        raise ValueError("the deformation lives on exponents up to 2")
+        raise ValueError("d must be at least 3: the deformation lives on "
+                         "exponents up to 2")
     coeffs = np.zeros((d, d), dtype=np.complex128)
     for j, i in ((1, 1), (1, 2), (2, 1), (2, 2)):
         coeffs[j, i] = 1.0
@@ -181,7 +182,8 @@ def example_center_of_mass(d: int = 4, tol: Tolerance = DEFAULT_TOL) -> dict:
     """x1*x2 factors over the (x1, x2) monomial grid but not over the
     center-of-mass grid, where it becomes X^2 - x^2/4."""
     if d < 3:
-        raise ValueError("need exponents up to 2 on the target grid")
+        raise ValueError("d must be at least 3: need exponents up to 2 on "
+                         "the target grid")
     state = monomial(("x1", "x2"), d, 1, 1)
     plain = poly_tps(("x1", "x2"), d)
     plain_report = schmidt(state.vector(), plain, tol)

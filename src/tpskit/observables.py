@@ -17,10 +17,13 @@ import numpy as np
 
 from .algebra import contains, tps_to_tpp
 from .core import (
+    COND_LIMIT,
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
+    cluster_centers,
     cluster_values,
+    eigenspaces,
     grid_from_fibers,
     intertwiners,
     numeric_rank,
@@ -37,8 +40,6 @@ from .errors import (
     NotDiagonalizable,
 )
 from .tps import Tps, tps_new
-
-_COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,44 +90,13 @@ def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
     return ObservablePair(r=rm, t=tm, hermitian=herm)
 
 
-def _centers(vals: np.ndarray, clusters: list) -> np.ndarray:
-    """Cluster means, real when no mean has an imaginary part."""
-    centers = np.array([vals[c].mean() for c in clusters])
-    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
-        centers = centers.real
-    return centers
-
-
-def _fibers(t: np.ndarray, hermitian: bool, tol: Tolerance):
-    """Eigenvalue cluster centers of t and its eigenspaces, the fibers, as an
-    (l, n, k) stack of orthonormal bases; all l must have one dimension k."""
-    if hermitian:
-        vals, vecs = np.linalg.eigh(t)
-    else:
-        vals, vecs = np.linalg.eig(t)
-        if np.linalg.cond(vecs) >= _COND_LIMIT:
-            raise NotDiagonalizable(
-                "eigenvector matrix too ill-conditioned to trust")
-    clusters = cluster_values(vals, tol)
-    n, l = t.shape[0], len(clusters)
-    sizes = [c.size for c in clusters]
-    if sizes != [n // l] * l:
-        raise MultiplicityViolation(
-            f"eigenvalue multiplicities {sizes} of t are not all equal")
-    fibers = vecs[:, np.concatenate(clusters)].reshape(n, l, n // l)
-    fibers = fibers.transpose(1, 0, 2)
-    if not hermitian:  # orthonormalize each eigenspace basis
-        fibers = np.linalg.qr(fibers)[0]
-    return _centers(vals, clusters), fibers
-
-
 def _characteristic_sets(p: ObservablePair,
                          tol: Tolerance) -> CharacteristicSets:
     """The eigenspaces of t are the fibers; r restricted to each fiber has
     one eigenvalue in each of r's k clusters, and its eigenvectors are the
     grid cells of that fiber."""
     n = p.r.shape[0]
-    t_centers, fibers = _fibers(p.t, p.hermitian, tol)
+    t_centers, fibers = eigenspaces(p.t, p.hermitian, tol)
     l, k = fibers.shape[0], fibers.shape[2]
     blocks = _restriction(p.r, fibers, tol)                  # (l, k, k)
     if blocks is None:
@@ -137,7 +107,7 @@ def _characteristic_sets(p: ObservablePair,
             (blocks + blocks.conj().transpose(0, 2, 1)) / 2)
     else:
         fvals, fvecs = np.linalg.eig(blocks)
-        if np.max(np.linalg.cond(fvecs)) >= _COND_LIMIT:
+        if np.max(np.linalg.cond(fvecs)) >= COND_LIMIT:
             raise NotDiagonalizable(
                 "restricted eigenvector matrix too ill-conditioned")
 
@@ -161,7 +131,7 @@ def _characteristic_sets(p: ObservablePair,
     grid[:, (labels * l + np.arange(l)[:, None]).reshape(-1)] = phase_fix(
         cells / np.linalg.norm(cells, axis=0))
     s = np.linalg.svd(grid, compute_uv=False)
-    if not p.hermitian and s[0] >= _COND_LIMIT * s[-1]:
+    if not p.hermitian and s[0] >= COND_LIMIT * s[-1]:
         raise NotDiagonalizable(
             "joint eigenvector grid too ill-conditioned to trust")
     if singular_rank(s, tol) < n:
@@ -170,7 +140,7 @@ def _characteristic_sets(p: ObservablePair,
     n_spaces = grid.reshape(n, k, l).transpose(1, 0, 2)     # (k, n, l)
     if not p.hermitian:
         n_spaces = np.linalg.qr(n_spaces)[0]
-    r_centers = _centers(pooled, clusters)
+    r_centers = cluster_centers(pooled, clusters)
     for a in (r_centers, t_centers, fibers, n_spaces, grid):
         a.flags.writeable = False
     return CharacteristicSets(
@@ -339,7 +309,8 @@ def verify_complementary(p1: ObservablePair, p2: ObservablePair,
     """True iff the pairs share one characteristic family and act irreducibly
     (and fiberwise-isomorphically) on it.  The data behind the answer is
     kept on p1 per partner and Tolerance, so `tpp_from_complementary` of
-    the same pair does not test it again."""
+    the same pair does not test it again.  p1._memo is not bounded: it
+    keeps every partner, and its data, for the life of p1."""
     return _complementary_data(p1, p2, tol) is not None
 
 

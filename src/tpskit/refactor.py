@@ -49,25 +49,21 @@ def tps_making_basis_product(basis, k: int, l: int,
 def _complete_columns(cols: np.ndarray, n: int) -> np.ndarray:
     """Extend linearly independent columns to an invertible n x n matrix.
 
-    Keeps the given columns first and appends standard basis vectors in
-    index order.  They are picked greedily: each time the one with the
-    largest residual against the span so far (ties to the lowest index), so
-    the choice depends on the directions of the columns, not their scale.
+    Keeps the given columns first and appends, in index order, the standard
+    basis vectors of the coordinates that partial pivoting on the columns
+    leaves free: each column, once eliminated against the earlier ones,
+    pivots on its largest remaining entry (ties to the highest index, so the
+    appended vectors favour low indices).  The choice depends on the
+    directions of the columns, not their scale.
     """
-    q, _ = np.linalg.qr(cols)
-    eye = np.eye(n, dtype=np.complex128)
-    # projector onto the complement of the span so far: its column p is the
-    # residual of e_p, with squared norm resid[p, p]
-    resid = eye - q @ q.conj().T
-    chosen = []
-    for _ in range(n - cols.shape[1]):
-        d = resid.diagonal().real
-        p = int(np.argmax(d))
-        chosen.append(p)
-        v = resid[:, p] / np.sqrt(d[p])
-        resid -= np.outer(v, v.conj())
-    chosen.sort()
-    return np.hstack([cols, eye[:, chosen]])
+    a = cols.astype(np.complex128)
+    free = np.ones(n, dtype=bool)
+    for j in range(cols.shape[1]):
+        mags = np.where(free, np.abs(a[:, j]), -1.0)
+        p = n - 1 - int(np.argmax(mags[::-1]))
+        free[p] = False
+        a -= np.outer(a[:, j] / a[p, j], a[p])
+    return np.hstack([cols, np.eye(n, dtype=np.complex128)[:, free]])
 
 
 def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,

@@ -19,9 +19,8 @@ from .core import (
     as_vector,
     numeric_rank,
     singular_rank,
-    svd,
 )
-from .errors import DimensionMismatch, SingularBasis, ZeroState
+from .errors import ConvergenceFailure, DimensionMismatch, SingularBasis, ZeroState
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +84,11 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     its nonzero singular values, and ``sum_m sigma_m * outer(u_m, v_m)``
     reconstructs the coefficient matrix.
     """
-    u, s, vr = svd(coefficient_matrix(w, t))
+    try:
+        u, s, vh = np.linalg.svd(as_matrix(coefficient_matrix(w, t)),
+                                 full_matrices=False)
+    except np.linalg.LinAlgError as e:  # pragma: no cover
+        raise ConvergenceFailure(str(e)) from e
     r = singular_rank(s, tol)
     if r == 0:
         raise ZeroState("cannot classify the zero vector")
@@ -93,7 +96,7 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
         rank=r,
         coefficients=s[:r].copy(),
         left_vectors=u[:, :r].copy(),
-        right_vectors=vr[:, :r].conj().copy(),
+        right_vectors=vh[:r].T.copy(),
     )
 
 

@@ -116,6 +116,15 @@ def test_bad_tol_and_shape_exit_2(tmp_path):
     assert code == 2 and "foo" in err
 
 
+def test_example_degree_too_small_exits_2():
+    # 0 is not replaced by the default: it is refused like any degree < 3
+    for which in ("bargmann", "com"):
+        for degree in ("2", "0"):
+            code, out, err = run_cli(["example", which, "--degree", degree])
+            assert code == 2 and out == "", (which, degree)
+            assert err.count("\n") == 1 and "at least 3" in err, (which, degree)
+
+
 def test_example_outputs_deterministic():
     for which in ("bell", "bargmann", "com"):
         code1, out1, _ = run_cli(["example", which])

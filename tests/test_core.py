@@ -8,13 +8,11 @@ from tpskit.core import (
     as_vector,
     cluster_values,
     complete_orthonormal,
-    hermitian_eigendecompose,
     intertwiners,
     numeric_rank,
     phase_fix,
-    svd,
 )
-from tpskit.errors import DimensionMismatch, NotHermitian
+from tpskit.errors import DimensionMismatch
 
 from util import random_invertible, random_unitary
 
@@ -40,31 +38,6 @@ def test_as_vector():
     assert v.shape == (3,) and v.dtype == np.complex128
     with pytest.raises(DimensionMismatch):
         as_vector([1, 2], n=3)
-
-
-def test_hermitian_reconstruction():
-    rng = np.random.default_rng(1)
-    for n in (2, 5, 9):
-        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        m = z + z.conj().T
-        evals, vecs = hermitian_eigendecompose(m)
-        resid = np.linalg.norm(vecs @ np.diag(evals) @ vecs.conj().T - m)
-        assert resid <= 10 * DEFAULT_TOL.residual * np.linalg.norm(m)
-
-
-def test_hermitian_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eigendecompose(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_svd_reconstruction_and_ordering():
-    rng = np.random.default_rng(2)
-    for n in (2, 4, 7):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        u, s, v = svd(m)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        resid = np.linalg.norm(u @ np.diag(s) @ v.conj().T - m)
-        assert resid <= 10 * DEFAULT_TOL.residual * np.linalg.norm(m)
 
 
 def test_numeric_rank_unitary_invariant():

@@ -23,6 +23,7 @@ from tpskit.errors import (
     ZeroState,
 )
 
+from oracles import greedy_completion
 from util import random_invertible, random_state
 
 
@@ -138,6 +139,35 @@ def test_non_orthonormal_verdicts_survive_rescaling():
                   aligned):
             assert schmidt(v, tps_making_state_product(v, k, l)).rank == 1
             assert schmidt(v, tps_making_state_entangled(v, k, l)).rank == 2
+
+
+def test_completion_leaves_out_the_pivot_coordinates():
+    eye = np.eye(4)
+    # largest entries tie at coordinates 1 and 2: the pivot takes the
+    # higher one, and the rest are appended in index order
+    w = np.array([0.5, 2, -2j, 1])
+    for v in (w, 1e-9 * w, 1e9 * w):
+        assert np.array_equal(tps_making_state_product(v, 2, 2).basis[:, 1:],
+                              eye[:, [0, 1, 3]])
+    # the entangling split pivots on its coordinate part (e_0), then on the
+    # largest remaining entry of the other part
+    basis = tps_making_state_entangled(np.array([1, 3, 1, 2]), 2, 2).basis
+    assert np.array_equal(basis[:, [0, 3]], eye[:, [2, 3]])
+
+
+def test_completion_matches_the_greedy_oracle():
+    rng = np.random.default_rng(57)
+    for n in (4, 9, 16, 36, 64):
+        for _ in range(5):
+            w = random_state(rng, n)
+            u = w / np.linalg.norm(w)
+            # the state alone, and the entangling split's coordinate part first
+            for cols in (u.reshape(n, 1), np.column_stack([np.eye(n)[:, 0], u])):
+                m = cols.shape[1]
+                basis = tpskit.refactor._complete_columns(cols, n)
+                assert np.array_equal(basis[:, :m], cols)
+                assert np.array_equal(basis[:, m:],
+                                      np.eye(n)[:, greedy_completion(cols, n)])
 
 
 def test_import_loads_no_scipy():

@@ -94,6 +94,7 @@ def test_schmidt_reconstructs_coefficient_matrix():
     t = tps_new(2, 3, random_invertible(rng, 6))
     w = random_state(rng, 6)
     rep = schmidt(w, t)
+    assert np.all(np.diff(rep.coefficients) <= 0)
     c = coefficient_matrix(w, t)
     rebuilt = sum(rep.coefficients[i]
                   * np.outer(rep.left_vectors[:, i], rep.right_vectors[:, i])
