@@ -41,9 +41,8 @@ from .errors import (
     MultiplicityViolation,
     NonUnital,
     NotATpp,
-    SingularBasis,
 )
-from .tps import Tps, is_inner_product_compatible, tps_new
+from .tps import Tps, is_inner_product_compatible
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +76,33 @@ _CHECKS = ("commute", "star_closed", "dims_square", "mutual_commutant",
            "trivial_center", "join_full")
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose methods refuse every write; it still pickles, copies
+    and serializes as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("verdict checks are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (_ReadOnlyDict, (dict(self),))
+
+
 @dataclass(frozen=True)
 class TppVerdict:
+    """checks is a read-only private copy, so a verdict kept in a1._memo
+    cannot be altered through the one it was returned as."""
+
     is_tpp: bool
     k: int
     l: int
     checks: dict
     tps: Tps | None = field(default=None, compare=False, repr=False)  # witness
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", _ReadOnlyDict(self.checks))
 
 
 def _svd_rows(flat: np.ndarray):
@@ -241,27 +260,47 @@ def _star_closed(a: OperatorAlgebra) -> bool:
     return bool(_projection_residual(adj, a.flat) <= _span_bound(a.dim))
 
 
+def _lowdin(mats: np.ndarray) -> np.ndarray | None:
+    """Symmetric (Loewdin) orthonormalization: the rows G^(-1/2) F of the
+    flattened stack F, G = F F^*, span what the rows of F span and are
+    Frobenius-orthonormal to about eps * cond(G).  None unless cond(G) <= 2,
+    so the result is trusted only for nearly orthogonal matrices."""
+    m, n, _ = mats.shape
+    f = mats.reshape(m, -1)
+    lam, v = np.linalg.eigh(f @ f.conj().T)
+    if not lam[0] >= lam[-1] / 2:
+        return None
+    return ((v / np.sqrt(lam)) @ v.conj().T @ f).reshape(m, n, n)
+
+
 def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     """Algebra pair acting factorwise in the grid basis of a Tps.
 
     A1 is spanned by B (E_ab ox 1_l) B^-1 over matrix units of the first
-    factor, A2 by B (1_k ox E_cd) B^-1, with B the grid basis.
+    factor, A2 by B (1_k ox E_cd) B^-1, with B the grid basis.  Each span
+    holds the identity.  When its k^2 (or l^2) generators are nearly
+    orthogonal, as for a unitary or nearly unitary grid, it is
+    orthonormalized by `_lowdin`; otherwise by an SVD.
     """
     n, k, l = t.dim, t.k, t.l
     b = t.basis.reshape(n, k, l)
     binv = np.linalg.inv(t.basis).reshape(k, l, n)
-    span1 = np.einsum("xai,biy->abxy", b, binv).reshape(k * k, n, n)
-    span2 = np.einsum("xjc,jdy->cdxy", b, binv).reshape(l * l, n, n)
-    a1 = _from_closed_span(span1, n, tol)
-    a2 = _from_closed_span(span2, n, tol)
-    return a1, a2
+    # B (E_ab ox 1) B^-1 = B[:, a, :] @ B^-1[b], B (1 ox E_cd) B^-1 likewise
+    spans = [(b.transpose(1, 0, 2)[:, None] @ binv).reshape(-1, n, n),
+             (b.transpose(2, 0, 1)[:, None] @ binv.transpose(1, 0, 2)).reshape(-1, n, n)]
+    pair = []
+    for span in spans:
+        basis = _lowdin(span)
+        pair.append(_from_closed_span(span, n, tol) if basis is None else
+                    OperatorAlgebra(dim_space=n, span_basis=basis, unital=True))
+    return tuple(pair)
 
 
 def _draw_generic_hermitian(a: OperatorAlgebra, rng: np.random.Generator) -> np.ndarray:
     """Hermitian part of a complex Gaussian combination of the span basis:
     a generic Hermitian element when the algebra is star-closed."""
     z = rng.standard_normal(a.dim) + 1j * rng.standard_normal(a.dim)
-    g = np.tensordot(z, a.span_basis, axes=(0, 0))
+    g = np.dot(z, a.flat).reshape(a.dim_space, a.dim_space)
     return (g + g.conj().T) / 2
 
 
@@ -378,10 +417,8 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     else:
         return None
 
-    try:
-        out = tps_new(k, l, grid_from_fibers([fiber0] + transported, axis=2), tol)
-    except SingularBasis:
-        return None
+    out = Tps(dim=a1.dim_space, k=k, l=l,
+              basis=grid_from_fibers([fiber0] + transported, axis=2))
     return out if _induces(out, a1, a2, tol) else None
 
 
@@ -397,7 +434,6 @@ def _certify(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
         return verdict
     t = _witness(a1, a2, seed, tol)
     if t is not None:
-        t.basis.flags.writeable = False
         verdict = TppVerdict(is_tpp=True, k=t.k, l=t.l,
                              checks=dict.fromkeys(_CHECKS, True), tps=t)
     else:

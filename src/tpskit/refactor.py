@@ -36,6 +36,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _rescaled(v: np.ndarray) -> np.ndarray:
+    """The state times the power of two that brings its largest entry
+    magnitude into [1/2, 1): an exact scaling after which its norm neither
+    underflows nor overflows, so only an exactly zero state is refused."""
+    peak = np.max(np.abs(v), initial=0.0)
+    if peak == 0:
+        raise ZeroState("cannot refactor the zero vector")
+    e = -np.frexp(peak)[1]
+    return np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
+
+
 def tps_making_basis_product(basis, k: int, l: int,
                              tol: Tolerance = DEFAULT_TOL) -> Tps:
     """Grid structure in which every column of the given basis is a product
@@ -77,10 +88,8 @@ def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
     v = as_vector(w)
     n = v.size
     _check_shape(n, k, l)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ZeroState("cannot refactor the zero vector")
-    col = (v / norm).reshape(n, 1)
+    v = _rescaled(v)
+    col = (v / np.linalg.norm(v)).reshape(n, 1)
     if orthonormal:
         basis = complete_orthonormal(col, n, tol)
     else:
@@ -102,9 +111,8 @@ def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
     _check_shape(n, k, l)
     if k < 2 or l < 2:
         raise ShapeTooSmall("an entangling grid needs both factors >= 2")
+    v = _rescaled(v)
     norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ZeroState("cannot refactor the zero vector")
 
     # smallest-index coordinate direction not parallel to w
     u_idx = 0

@@ -8,27 +8,44 @@ which coordinates themselves carry the factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    as_vector,
-    numeric_rank,
-    singular_rank,
-)
+from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, singular_rank
 from .errors import ConvergenceFailure, DimensionMismatch, SingularBasis, ZeroState
 
 
 @dataclass(frozen=True, eq=False)
 class Tps:
+    """A k-by-l grid structure.  basis is a private read-only copy, so the
+    singular values kept with it cannot go stale."""
+
     dim: int
     k: int
     l: int
     basis: np.ndarray  # n x n, column j*l+i = grid vector (j, i)
+    _singular_values: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        basis = np.array(self.basis, dtype=np.complex128)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy's basis is read-only again
+        return (Tps, (self.dim, self.k, self.l, self.basis))
+
+    @property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the basis, descending and read-only; computed
+        once, on first use (by `tps_new`, for its rank test)."""
+        s = self._singular_values
+        if s is None:
+            s = np.linalg.svd(self.basis, compute_uv=False)
+            s.flags.writeable = False
+            object.__setattr__(self, "_singular_values", s)
+        return s
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -58,10 +75,10 @@ def tps_new(k: int, l: int, basis, tol: Tolerance = DEFAULT_TOL) -> Tps:
     if k < 1 or l < 1:
         raise DimensionMismatch("factor dimensions must be >= 1")
     n = k * l
-    b = as_matrix(basis, rows=n, cols=n)
-    if numeric_rank(b, tol) < n:
+    t = Tps(dim=n, k=k, l=l, basis=as_matrix(basis, rows=n, cols=n))
+    if singular_rank(t.singular_values, tol) < n:
         raise SingularBasis("basis matrix is numerically singular")
-    return Tps(dim=n, k=k, l=l, basis=b.copy())
+    return t
 
 
 def god_given(k: int, l: int) -> Tps:
@@ -106,16 +123,17 @@ def is_product(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_inner_product_compatible(t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the grid basis is unitary, i.e. the factorwise inner products
-    multiply out to the ambient one."""
-    g = t.basis.conj().T @ t.basis
-    return bool(np.linalg.norm(g - np.eye(t.dim)) <= 10 * tol.residual * t.dim)
+    """True iff the grid basis B is unitary, i.e. the factorwise inner products
+    multiply out to the ambient one: ||B^* B - 1||_F = ||s^2 - 1|| over the
+    singular values s of B is within 10 * residual * n."""
+    defect = np.linalg.norm(t.singular_values ** 2 - 1)
+    return bool(defect <= 10 * tol.residual * t.dim)
 
 
 def swap_factors(t: Tps) -> Tps:
     """Exchange the two factors: shape (l, k), cell (i, j) <- cell (j, i)."""
     perm = np.arange(t.dim).reshape(t.k, t.l).T.reshape(-1)
-    return Tps(dim=t.dim, k=t.l, l=t.k, basis=t.basis[:, perm].copy())
+    return Tps(dim=t.dim, k=t.l, l=t.k, basis=t.basis[:, perm])
 
 
 def tps_equivalent(t1: Tps, t2: Tps, tol: Tolerance = DEFAULT_TOL) -> EquivalenceVerdict:
@@ -129,7 +147,8 @@ def tps_equivalent(t1: Tps, t2: Tps, tol: Tolerance = DEFAULT_TOL) -> Equivalenc
     if t1.dim != t2.dim:
         raise DimensionMismatch("structures live on different spaces")
     (k, l), eps = t1.shape, np.finfo(float).eps
-    floor = max(tol.rank_rel, t1.dim * eps * np.linalg.cond(t1.basis))
+    s1 = t1.singular_values
+    floor = max(tol.rank_rel, t1.dim * eps * s1[0] / s1[-1])
     for swapped, t in ((False, t2), (True, swap_factors(t2))):
         if t.shape == t1.shape:
             m = np.linalg.solve(t1.basis, t.basis).reshape(k, l, k, l)

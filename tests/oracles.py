@@ -139,6 +139,13 @@ def substitute_exact(coeffs, subs, target_vars, target_degree):
 _COND_LIMIT = 1e6
 
 
+def gram_compatible(t, tol):
+    """The Gram test of inner-product compatibility: ||B^* B - 1||_F within
+    10 * residual * n."""
+    g = t.basis.conj().T @ t.basis
+    return bool(np.linalg.norm(g - np.eye(t.dim)) <= 10 * tol.residual * t.dim)
+
+
 def _reference_eigen_data(m, hermitian, tol):
     """Eigenvalues, cluster index lists, and orthonormal eigenspace bases."""
     if hermitian:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import sys
 
 import numpy as np
@@ -17,11 +20,18 @@ from tpskit import (
     tps_new,
     tps_to_tpp,
 )
-from tpskit.algebra import OperatorAlgebra, _diagnose, contains
+from tpskit.algebra import OperatorAlgebra, TppVerdict, _diagnose, contains
 from tpskit.core import DEFAULT_TOL, Tolerance
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
-from util import SHAPES, count_calls, forbid_algebra, random_invertible, random_unitary
+from util import (
+    SHAPES,
+    count_calls,
+    forbid_algebra,
+    near_unitary,
+    random_invertible,
+    random_unitary,
+)
 
 XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
@@ -150,7 +160,7 @@ def test_tpp_to_tps_rejects_non_tpp():
 
 
 def _parity_corpus():
-    """Seeded algebra pairs, each with the checks it must fail (none for a
+    """Seeded algebra pairs, each with exactly the checks it fails (none for a
     factor pair of a unitary grid)."""
     rng = np.random.default_rng(40)
     corpus = []
@@ -161,19 +171,22 @@ def _parity_corpus():
         pair = tps_to_tpp(tps_new(k, l, random_invertible(rng, k * l)))
         corpus.append((f"invertible {k}x{l}", pair, {"star_closed"}))
     diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
-    corpus.append(("abelian", (diag, diag), {"trivial_center"}))
+    corpus.append(("abelian", (diag, diag), {"trivial_center", "join_full"}))
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     full = algebra_generate([g, g.conj().T])
-    corpus.append(("full vs full", (full, full), {"commute"}))
+    corpus.append(("full vs full", (full, full),
+                   {"commute", "dims_square", "mutual_commutant", "join_full"}))
     # A1 of a grid against the algebra of one generic second-factor observable
     u = random_unitary(rng, 6)
     a1, _ = tps_to_tpp(tps_new(2, 3, u))
     mu = np.arange(3) + rng.uniform(0.1, 0.4, size=3)
     obs = u @ np.kron(np.eye(2), np.diag(mu)) @ u.conj().T
-    corpus.append(("incomplete", (a1, algebra_generate([obs])), {"dims_square"}))
+    corpus.append(("incomplete", (a1, algebra_generate([obs])),
+                   {"dims_square", "mutual_commutant", "trivial_center", "join_full"}))
     b1, _ = tps_to_tpp(tps_new(2, 2, random_unitary(rng, 4)))
     _, b2 = tps_to_tpp(tps_new(2, 2, random_unitary(rng, 4)))
-    corpus.append(("unrelated grids", (b1, b2), {"commute"}))
+    corpus.append(("unrelated grids", (b1, b2),
+                   {"commute", "mutual_commutant", "join_full"}))
     return corpus
 
 
@@ -184,7 +197,7 @@ def test_is_tpp_matches_six_check_diagnostic():
             (full.is_tpp, full.k, full.l, full.checks), name
         assert list(got.checks) == list(full.checks), name
         failed = {check for check, ok in got.checks.items() if not ok}
-        assert must_fail <= failed and got.is_tpp == (not must_fail), name
+        assert failed == must_fail and got.is_tpp == (not must_fail), name
 
 
 def test_certified_pair_needs_no_commutant_or_join(monkeypatch):
@@ -427,3 +440,103 @@ def test_build_after_certify_returns_the_verdicts_witness():
     assert tpp_to_tps(a1, a2) is verdict.tps
     with pytest.raises(ValueError):
         verdict.tps.basis[0, 0] = 0
+
+
+def _factor_spans(t):
+    """The generators B (E_ab ox 1) B^-1 and B (1 ox E_cd) B^-1 of a grid's
+    factor algebras, as k^2 and l^2 stacks."""
+    n, k, l = t.dim, t.k, t.l
+    b, binv = t.basis.reshape(n, k, l), np.linalg.inv(t.basis).reshape(k, l, n)
+    return (np.einsum("xai,biy->abxy", b, binv).reshape(k * k, n, n),
+            np.einsum("xjc,jdy->cdxy", b, binv).reshape(l * l, n, n))
+
+
+def test_compatible_grid_spans_are_orthonormal_unital_svd_spans():
+    rng = np.random.default_rng(60)
+    for k, l in SHAPES + [(1, 4), (4, 1), (5, 5)]:
+        n = k * l
+        for b in (random_unitary(rng, n), near_unitary(rng, n, 0.01),
+                  near_unitary(rng, n, 0.5), near_unitary(rng, n, 0.95)):
+            t = tps_new(k, l, b)
+            assert is_inner_product_compatible(t)
+            for a, gens in zip(tps_to_tpp(t), _factor_spans(t)):
+                gram = a.flat @ a.flat.conj().T
+                assert np.linalg.norm(gram - np.eye(a.dim)) <= 1e-12, (k, l)
+                ref = tpskit.algebra._from_closed_span(gens, n, DEFAULT_TOL)
+                assert a.dim == ref.dim == gens.shape[0], (k, l)
+                assert span_equal(a, ref), (k, l)
+                assert a.unital and contains(a, np.eye(n)), (k, l)
+
+
+def test_near_unitary_grids_are_still_certified():
+    rng = np.random.default_rng(61)
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4)):
+        for frac in (0.01, 0.5, 0.95):
+            t = tps_new(k, l, near_unitary(rng, k * l, frac))
+            verdict = is_tpp(*tps_to_tpp(t))
+            assert verdict.is_tpp and (verdict.k, verdict.l) == (k, l), frac
+
+
+def test_round_trip_takes_one_svd_per_grid(monkeypatch):
+    svd, shapes = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    t = tps_new(3, 4, random_unitary(np.random.default_rng(62), 12))
+    back = tpp_to_tps(*tps_to_tpp(t))
+    assert tps_equivalent(t, back).equivalent
+    # the grid's rank test, the witness's compatibility test, and the
+    # rearrangement of B1^-1 B2 in tps_equivalent; none for the spans
+    assert shapes == [(12, 12), (12, 12), (9, 16)]
+
+
+def test_verdict_checks_are_read_only():
+    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(63), 4)))
+    diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
+    for pair in ((a1, a2), (diag, diag)):
+        verdict = is_tpp(*pair)
+        expected = dict(verdict.checks)
+        with pytest.raises(TypeError):
+            verdict.checks["commute"] = not expected["commute"]
+        again = is_tpp(*pair)
+        assert again is verdict and dict(again.checks) == expected
+    checks = dict.fromkeys(tpskit.algebra._CHECKS, True)
+    verdict = TppVerdict(is_tpp=True, k=2, l=2, checks=checks)
+    checks["commute"] = False
+    assert verdict.checks["commute"]
+
+
+def test_ill_conditioned_grid_spans_do_not_depend_on_the_tolerance():
+    # with residual = 1 this grid counts as inner-product compatible (defect
+    # about 1, bound 40), yet its generators are far from orthogonal: the
+    # spans must still be orthonormal, and the SVD ones
+    rng = np.random.default_rng(64)
+    b = random_unitary(rng, 4) @ np.diag([1, 1, 1, 1e-6]) @ random_unitary(rng, 4)
+    for tol in (DEFAULT_TOL, Tolerance(residual=1)):
+        t = tps_new(2, 2, b, tol)
+        assert is_inner_product_compatible(t, tol) == (tol.residual == 1)
+        for a, gens in zip(tps_to_tpp(t, tol), _factor_spans(t)):
+            assert np.all(np.isfinite(a.flat))
+            gram = a.flat @ a.flat.conj().T
+            assert np.linalg.norm(gram - np.eye(a.dim)) <= 1e-12
+            ref = tpskit.algebra._from_closed_span(gens, 4, tol)
+            assert a.dim == ref.dim == 4 and a.unital == ref.unital
+            assert span_equal(a, ref)
+
+
+def test_verdicts_pickle_and_copy_with_read_only_checks():
+    a1, a2 = tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(65), 6)))
+    verdict = is_tpp(a1, a2)
+    for twin in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict)):
+        assert twin == verdict and twin.checks == verdict.checks
+        with pytest.raises(TypeError):
+            twin.checks["commute"] = False
+        assert np.array_equal(twin.tps.basis, verdict.tps.basis)
+        assert np.array_equal(twin.tps.singular_values, verdict.tps.singular_values)
+        with pytest.raises(ValueError):
+            twin.tps.basis[0, 0] = 0
+    fields = dataclasses.asdict(verdict)
+    assert fields["checks"] == dict.fromkeys(tpskit.algebra._CHECKS, True)

@@ -8,6 +8,7 @@ import pytest
 import tpskit
 from tpskit import (
     dual_verdict,
+    god_given,
     is_inner_product_compatible,
     is_product,
     schmidt,
@@ -124,6 +125,32 @@ def test_refactor_verdicts_ignore_tiny_and_huge_scales():
                 tp, te = dual_verdict(alpha * w, k, l)
                 assert is_product(alpha * w, tp), (k, l, alpha)
                 assert schmidt(alpha * w, te).rank == 2, (k, l, alpha)
+
+
+def test_states_whose_norm_underflows_or_overflows_are_refactored():
+    # ||w|| of these states is 0 or inf in floating point; the makers scale
+    # w by a power of two first, so only the exactly zero state is refused
+    w = np.array([1, 2, 3, 4j])
+    for alpha in (1e-200, 1e-310, 5e-324, 1e200):
+        v = alpha * w
+        assert schmidt(v, god_given(2, 2)).rank == 2, alpha
+        tp, te = dual_verdict(v, 2, 2)
+        assert is_product(v, tp) and schmidt(v, te).rank == 2, alpha
+        for orthonormal in (False, True):
+            assert is_product(v, tps_making_state_product(v, 2, 2, orthonormal)), alpha
+            t = tps_making_state_entangled(v, 2, 2, orthonormal)
+            assert schmidt(v, t).rank == 2, alpha
+
+
+def test_zero_state_reports_a_bad_shape_first():
+    with pytest.raises(DimensionMismatch):
+        tps_making_state_product(np.zeros(6), 2, 2)
+    with pytest.raises(NonCompositeDim):
+        tps_making_state_entangled(np.zeros(5), 2, 2)
+    with pytest.raises(ShapeTooSmall):
+        tps_making_state_entangled(np.zeros(4), 1, 4)
+    with pytest.raises(ZeroState):
+        dual_verdict(np.zeros(4), 2, 2)
 
 
 def test_non_orthonormal_verdicts_survive_rescaling():

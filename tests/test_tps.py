@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,18 @@ from tpskit import (
     tps_new,
 )
 from tpskit.algebra import span_equal, tpp_to_tps, tps_to_tpp
+from tpskit.core import DEFAULT_TOL
 from tpskit.errors import DimensionMismatch, SingularBasis, ZeroState
+from tpskit.tps import Tps
 
 import oracles
-from util import forbid_algebra, random_invertible, random_state, random_unitary
+from util import (
+    forbid_algebra,
+    near_unitary,
+    random_invertible,
+    random_state,
+    random_unitary,
+)
 
 
 def test_tps_new_rejects_singular_basis():
@@ -291,3 +301,43 @@ def test_equivalence_builds_no_algebras(monkeypatch):
     v = tps_equivalent(t, swap_factors(t))
     assert v.equivalent and v.swapped
     assert not tps_equivalent(t, tps_new(2, 3, random_invertible(rng, 6))).equivalent
+
+
+def test_kept_singular_values_are_a_read_only_svd_of_the_basis():
+    rng = np.random.default_rng(25)
+    b = random_invertible(rng, 6)
+    t = tps_new(2, 3, b)
+    u = tps_new(2, 3, random_unitary(rng, 6))
+    witness = tpp_to_tps(*tps_to_tpp(u))
+    for grid in (t, u, swap_factors(t), god_given(2, 3), witness):
+        s = grid.singular_values
+        assert np.array_equal(s, np.linalg.svd(grid.basis, compute_uv=False))
+        assert grid.singular_values is s
+        for a in (grid.basis, s):
+            with pytest.raises(ValueError):
+                a[0] = 0
+    # the basis is a private copy, so the kept values cannot go stale
+    b[0, 0] = 5
+    assert t.basis[0, 0] != 5
+    assert np.array_equal(t.singular_values,
+                          np.linalg.svd(t.basis, compute_uv=False))
+    # nor can they be passed in or carried over to another basis
+    with pytest.raises(TypeError):
+        Tps(dim=6, k=2, l=3, basis=b, _singular_values=t.singular_values)
+    other = dataclasses.replace(t, basis=b)
+    assert np.array_equal(other.singular_values, np.linalg.svd(b, compute_uv=False))
+
+
+def test_compatibility_agrees_with_the_gram_test():
+    rng = np.random.default_rng(26)
+    fracs = (0.01, 0.25, 0.5, 0.95, 1.05, 2.0)
+    for k, l in ((2, 2), (2, 3), (3, 3), (4, 4), (6, 6)):
+        n = k * l
+        u = random_unitary(rng, n)
+        grids = [u, 2 * u, random_invertible(rng, n)]
+        grids += [near_unitary(rng, n, frac) for frac in fracs]
+        expected = [True, False, False] + [frac < 1 for frac in fracs]
+        for b, want in zip(grids, expected):
+            t = tps_new(k, l, b)
+            assert is_inner_product_compatible(t) == want, (k, l)
+            assert oracles.gram_compatible(t, DEFAULT_TOL) == want, (k, l)

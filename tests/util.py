@@ -3,6 +3,7 @@
 import numpy as np
 
 import tpskit.algebra
+from tpskit.core import DEFAULT_TOL
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)]
 
@@ -23,6 +24,14 @@ def random_invertible(rng, n):
         s = np.linalg.svd(m, compute_uv=False)
         if s[-1] > 1e-3 * s[0]:
             return m
+
+
+def near_unitary(rng, n, frac):
+    """A basis B whose Gram defect ||B^* B - 1||_F is `frac` times the bound
+    of `is_inner_product_compatible` at the default tolerance."""
+    d = rng.normal(size=n)
+    d *= frac * 10 * DEFAULT_TOL.residual * n / np.linalg.norm(d)
+    return (random_unitary(rng, n) * np.sqrt(1 + d)) @ random_unitary(rng, n)
 
 
 def random_standard_pair(rng, k, l, unitary=True):
