@@ -154,9 +154,9 @@ def _algebra(basis: np.ndarray, n: int) -> OperatorAlgebra:
     return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital)
 
 
-def algebra_generate(generators, include_identity: bool = True,
-                     tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Smallest multiplication-closed span containing the generators.
+def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+    """Smallest multiplication-closed span containing the generators and
+    the identity.
 
     Grows the span by multiplying fresh directions against the current basis
     and re-orthonormalizing until the dimension stabilizes (or hits n^2, at
@@ -164,17 +164,13 @@ def algebra_generate(generators, include_identity: bool = True,
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
-        if not include_identity:
-            raise DimensionMismatch("no generators and no identity requested")
         raise DimensionMismatch("at least one generator is required to fix n")
     n = gens[0].shape[0]
     for g in gens:
         if g.shape != (n, n):
             raise DimensionMismatch("generators must share a square shape")
-    seed = list(gens)
-    if include_identity:
-        seed.append(np.eye(n, dtype=np.complex128))
-    basis = _orthonormal_span(np.array(seed), tol.rank_rel)
+    basis = _orthonormal_span(np.array(gens + [np.eye(n, dtype=np.complex128)]),
+                              tol.rank_rel)
     fresh = basis
     while fresh.shape[0] and basis.shape[0] < n * n:
         prods = np.concatenate([
@@ -219,7 +215,7 @@ def join(a1: OperatorAlgebra, a2: OperatorAlgebra,
     if a1.dim_space != a2.dim_space:
         raise DimensionMismatch("algebras act on different spaces")
     gens = np.concatenate([a1.span_basis, a2.span_basis])
-    return algebra_generate(list(gens), include_identity=True, tol=tol)
+    return algebra_generate(list(gens), tol=tol)
 
 
 def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
@@ -246,13 +242,6 @@ def contains(a: OperatorAlgebra, m, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _intersection_dim(a: OperatorAlgebra, b: OperatorAlgebra,
                       tol: Tolerance) -> int:
     return a.dim + b.dim - numeric_rank(np.concatenate([a.flat, b.flat]), tol)
-
-
-def _max_commutator(a1: OperatorAlgebra, a2: OperatorAlgebra) -> float:
-    prods12 = np.einsum("aij,bjk->abik", a1.span_basis, a2.span_basis)
-    prods21 = np.einsum("bij,ajk->abik", a2.span_basis, a1.span_basis)
-    return float(np.max(np.linalg.norm(
-        (prods12 - prods21).reshape(a1.dim * a2.dim, -1), axis=1), initial=0.0))
 
 
 def _star_closed(a: OperatorAlgebra) -> bool:
@@ -315,11 +304,16 @@ def _factor_dims(a1: OperatorAlgebra, a2: OperatorAlgebra):
 
 def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
               tol: Tolerance) -> TppVerdict:
-    """The six named checks of a validated pair, each evaluated directly."""
+    """The six named checks of a validated pair, each evaluated directly.
+    Both algebras hold the identity (`_witness` refuses them otherwise), so
+    a commuting pair's join is the span of the products x y (x in a1, y in
+    a2), and `join_full` is the rank of the stack `commute` is read from."""
     n = a1.dim_space
     dims = _factor_dims(a1, a2)
+    prods = a1.span_basis[:, None] @ a2.span_basis          # x_a y_b
+    comm = prods - a2.span_basis @ a1.span_basis[:, None]   # minus y_b x_a
     checks: dict = {}
-    checks["commute"] = _max_commutator(a1, a2) <= 1e-8
+    checks["commute"] = np.max(np.linalg.norm(comm, axis=(2, 3))) <= 1e-8
     checks["star_closed"] = _star_closed(a1) and _star_closed(a2)
     checks["dims_square"] = dims is not None
 
@@ -329,10 +323,8 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
     checks["trivial_center"] = (
         _intersection_dim(a1, c1, tol) == 1 and _intersection_dim(a2, c2, tol) == 1
     )
-    if checks["commute"]:
-        checks["join_full"] = join(a1, a2, tol).dim == n * n
-    else:
-        checks["join_full"] = False
+    checks["join_full"] = checks["commute"] and numeric_rank(
+        prods.reshape(-1, n * n), tol) == n * n
 
     checks = {name: bool(v) for name, v in checks.items()}
     k, l = dims if dims is not None else (0, 0)

@@ -168,7 +168,8 @@ def intertwiners(lefts, rights, cut: float) -> np.ndarray:
     as kron(I, sum L†L) + kron(sum (R R†)^T, I) - sum kron(R^T, L†)
     - sum kron(conj(R), L); its eigenvalues are the squared singular values of
     the stacked system.  They carry eps * ||gram|| noise on exact zeros, so
-    eigenvalues up to ``cut`` times max(top eigenvalue, 1) count as zero.
+    eigenvalues up to ``cut`` times max(top eigenvalue, 1) count as zero;
+    that floor assumes unit-scale inputs, which both callers give.
     """
     ls = np.asarray(lefts, dtype=np.complex128)
     rs = np.asarray(rights, dtype=np.complex128)

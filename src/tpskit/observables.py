@@ -173,9 +173,10 @@ def tps_from_observables(p: ObservablePair,
 
     r acts on the result as (diag of its eigenvalues) on the first factor and
     t likewise on the second; for a self-adjoint pair the basis is unitary.
+    The characteristic sets have already tested the grid's rank.
     """
     cs = verify_standard_complete(p, tol)
-    return tps_new(cs.k, cs.l, cs.grid, tol)
+    return Tps(dim=cs.k * cs.l, k=cs.k, l=cs.l, basis=cs.grid)
 
 
 def _chain_matrix(lams: np.ndarray) -> np.ndarray:
@@ -261,8 +262,10 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: np.ndarray,
     (restriction of op1 to the first subspace, intertwiners to the first
     subspace) or None.  Irreducibility is tested on the first subspace only:
     an invertible intertwiner onto it makes every other restriction similar
-    to it, hence irreducible too.
+    to it, hence irreducible too.  Both operators are first scaled to unit
+    norm, as `intertwiners` assumes; the intertwiner relations do not change.
     """
+    op1, op2 = (op / (np.linalg.norm(op) or 1.0) for op in (op1, op2))
     a = _restriction(op1, spaces, tol)
     b = _restriction(op2, spaces, tol)
     if a is None or b is None:

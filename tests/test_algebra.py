@@ -55,7 +55,7 @@ def test_generate_idempotent():
     rng = np.random.default_rng(30)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     a = algebra_generate([g])
-    again = algebra_generate(list(a.span_basis), include_identity=False)
+    again = algebra_generate(list(a.span_basis))
     assert again.dim == a.dim
     assert span_equal(a, again)
 
@@ -198,6 +198,36 @@ def test_is_tpp_matches_six_check_diagnostic():
         assert list(got.checks) == list(full.checks), name
         failed = {check for check, ok in got.checks.items() if not ok}
         assert failed == must_fail and got.is_tpp == (not must_fail), name
+
+
+def test_commuting_rejection_closes_no_algebra(monkeypatch):
+    corpus = {name: pair for name, pair, _ in _parity_corpus()}
+    forbid_algebra(monkeypatch, "join", "algebra_generate")
+    for name in ("abelian", "incomplete"):
+        verdict = is_tpp(*corpus[name])
+        assert verdict.checks["commute"] and not verdict.checks["join_full"], name
+
+
+def test_join_full_agrees_with_the_join(monkeypatch):
+    rng = np.random.default_rng(64)
+    pairs = [pair for _, pair, _ in _parity_corpus()]
+    for k, l in SHAPES:
+        u = random_unitary(rng, k * l)
+        a1, _ = tps_to_tpp(tps_new(k, l, u))
+        obs = u @ np.kron(np.eye(k), np.diag(np.geomspace(1, 1e3, l))) @ u.conj().T
+        pairs.append((a1, algebra_generate([obs])))
+    for k, l in ((2, 2), (2, 3), (3, 3)):  # the corpus has larger unitary grids
+        for b in (random_unitary(rng, k * l), random_invertible(rng, k * l)):
+            pairs.append(tps_to_tpp(tps_new(k, l, b)))
+    monkeypatch.setattr(tpskit.algebra, "_witness", lambda *args: None)
+    commuting = 0
+    for a1, a2 in pairs:
+        checks = is_tpp(a1, a2).checks
+        if checks["commute"]:
+            commuting += 1
+            n = a1.dim_space
+            assert checks["join_full"] == (join(a1, a2).dim == n * n), (a1.dim, a2.dim)
+    assert commuting == len(pairs) - 2  # all but full vs full and unrelated grids
 
 
 def test_certified_pair_needs_no_commutant_or_join(monkeypatch):
@@ -478,19 +508,13 @@ def test_near_unitary_grids_are_still_certified():
 
 
 def test_round_trip_takes_one_svd_per_grid(monkeypatch):
-    svd, shapes = np.linalg.svd, []
-
-    def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
     t = tps_new(3, 4, random_unitary(np.random.default_rng(62), 12))
     back = tpp_to_tps(*tps_to_tpp(t))
     assert tps_equivalent(t, back).equivalent
     # the grid's rank test, the witness's compatibility test, and the
     # rearrangement of B1^-1 B2 in tps_equivalent; none for the spans
-    assert shapes == [(12, 12), (12, 12), (9, 16)]
+    assert [args[0].shape for args in calls] == [(12, 12), (12, 12), (9, 16)]
 
 
 def test_verdict_checks_are_read_only():

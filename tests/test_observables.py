@@ -134,6 +134,20 @@ def test_complementary_construction_verifies():
         assert verify_complementary(p1, p2)
 
 
+# below about 1e-8, cluster_values' absolute gap floor merges r's clusters first
+@pytest.mark.parametrize("alpha", [1e-7, 1e-6, 1e-5, 1e-3, 1.0, 1e3, 1e6])
+def test_complementarity_does_not_depend_on_the_scale_of_r(alpha):
+    rng = np.random.default_rng(56)
+    for i in range(20):
+        k, l = ((2, 2), (2, 3), (3, 3))[i % 3]
+        r, t = random_standard_pair(rng, k, l, unitary=i % 2 == 0)
+        p1 = observable_pair(alpha * r, t)
+        p2 = complementary_pair(p1, verify_standard_complete(p1))
+        assert verify_complementary(p1, p2), (i, k, l)
+        _, _, tps = tpp_from_complementary(p1, p2)
+        assert tps_equivalent(tps_from_observables(p1), tps).equivalent, (i, k, l)
+
+
 def test_self_pair_not_complementary():
     sz = np.diag([1.0, -1.0]).astype(complex)
     p = observable_pair(np.kron(sz, np.eye(2)), np.kron(np.eye(2), sz))
@@ -314,6 +328,18 @@ def test_other_tolerance_recomputes(monkeypatch):
     assert verify_standard_complete(p) is cs
     assert verify_standard_complete(p, Tolerance(eig_cluster=1e-7)) is other
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_observable_grid_takes_one_svd(monkeypatch, unitary):
+    r, t = random_standard_pair(np.random.default_rng(58), 3, 4, unitary)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    p = observable_pair(r, t)
+    tps = tps_from_observables(p)
+    assert tps.shape == (3, 4)
+    np.testing.assert_array_equal(tps.basis, verify_standard_complete(p).grid)
+    # the grid's rank test in the characteristic sets, none in building the Tps
+    assert [args[0].shape for args in calls] == [(12, 12)]
 
 
 def test_pair_and_sets_are_read_only():

@@ -56,14 +56,14 @@ def forbid_algebra(monkeypatch, *names):
 
 
 def count_calls(monkeypatch, module, name, replacement=None):
-    """Record the arguments of every call of module.<name>, which runs
-    `replacement` instead when one is given."""
+    """Record the positional arguments of every call of module.<name>,
+    which runs `replacement` instead when one is given."""
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return (replacement or original)(*args)
+        return (replacement or original)(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
