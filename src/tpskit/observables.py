@@ -3,10 +3,11 @@ k-by-l grid, the TPS they induce, and complementary pairs that pin a factor
 pair down uniquely.
 
 Complementarity is two instances of one linear problem, solved by
-`core.intertwiners`: the restricted pair acts irreducibly on the first shared
-subspace (its joint commutant is the scalars) and isomorphically across
-subspaces (an invertible intertwiner maps the first fiber to each other one),
-so it acts irreducibly on every subspace.
+`core.intertwiners`: the joint commutant of the restricted pair on the first
+shared subspace is the scalars, and an invertible intertwiner maps the first
+fiber to each other one, so that holds on every subspace.  It means
+irreducibility only for a self-adjoint pair: the pairs of `complementary_pair`
+generate the reducible upper-triangular algebra on a fiber.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def complementary_pair(p: ObservablePair, cs: CharacteristicSets,
                        tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
     """Second standard complete pair sharing the characteristic subspaces.
 
-    Keeps t and replaces r by the chained operator that is no longer normal
-    but acts irreducibly together with r on each shared eigenspace of t.
+    Keeps t and replaces r by the chained operator that is no longer normal;
+    its joint commutant with r on each shared eigenspace of t is the scalars.
     """
     k, l = cs.k, cs.l
     km = _chain_matrix(np.asarray(cs.r_eigenvalues, dtype=np.complex128))
@@ -243,9 +244,9 @@ def _trivial_joint_commutant(mats: list) -> bool:
 def _intertwiner(pair_i: tuple, pair_0: tuple, tol: Tolerance):
     """Invertible X with A_i X = X A_0 and B_i X = X B_0, or None.
 
-    pair_0 acts irreducibly, so an invertible solution exists exactly
-    when the pairs are isomorphic, and the solutions then form one line
-    (Schur's lemma).
+    One exists exactly when the pairs are isomorphic, and the solutions then
+    form one line: X0^-1 X commutes with pair_0, whose joint commutant is
+    the scalars.
     """
     d = pair_0[0].shape[0]
     for x in intertwiners(pair_i, pair_0, 1e-12):
@@ -260,10 +261,10 @@ def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: np.ndarray,
 
     op1/op2 are restricted along the shared subspace family; returns
     (restriction of op1 to the first subspace, intertwiners to the first
-    subspace) or None.  Irreducibility is tested on the first subspace only:
-    an invertible intertwiner onto it makes every other restriction similar
-    to it, hence irreducible too.  Both operators are first scaled to unit
-    norm, as `intertwiners` assumes; the intertwiner relations do not change.
+    subspace) or None.  The joint commutant is tested on the first subspace
+    only: an invertible intertwiner onto it makes every other restriction
+    similar to it.  Both operators are first scaled to unit norm, as
+    `intertwiners` assumes; the intertwiner relations do not change.
     """
     op1, op2 = (op / (np.linalg.norm(op) or 1.0) for op in (op1, op2))
     a = _restriction(op1, spaces, tol)
@@ -309,9 +310,9 @@ def _find_complementary_data(p1: ObservablePair, p2: ObservablePair,
 
 def verify_complementary(p1: ObservablePair, p2: ObservablePair,
                          tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the pairs share one characteristic family and act irreducibly
-    (and fiberwise-isomorphically) on it.  The data behind the answer is
-    kept on p1 per partner and Tolerance, so `tpp_from_complementary` of
+    """True iff the pairs share one characteristic family, on which they are
+    fiberwise isomorphic with only the scalars as joint commutant.  The data
+    is kept on p1 per partner and Tolerance, so `tpp_from_complementary` of
     the same pair does not test it again.  p1._memo is not bounded: it
     keeps every partner, and its data, for the life of p1."""
     return _complementary_data(p1, p2, tol) is not None

@@ -57,24 +57,26 @@ def tps_making_basis_product(basis, k: int, l: int,
     return tps_new(k, l, b, tol)
 
 
-def _complete_columns(cols: np.ndarray, n: int) -> np.ndarray:
-    """Extend linearly independent columns to an invertible n x n matrix.
+def _complete_column(col: np.ndarray) -> np.ndarray:
+    """Extend a nonzero column to an invertible n x n matrix.
 
-    Keeps the given columns first and appends, in index order, the standard
-    basis vectors of the coordinates that partial pivoting on the columns
-    leaves free: each column, once eliminated against the earlier ones,
-    pivots on its largest remaining entry (ties to the highest index, so the
-    appended vectors favour low indices).  The choice depends on the
-    directions of the columns, not their scale.
+    Keeps the column first and appends, in index order, the standard basis
+    vectors of every coordinate but its pivot, its largest-magnitude entry
+    (ties to the highest index, so the appended vectors favour low indices).
+    The choice depends on the direction of the column, not its scale.
     """
-    a = cols.astype(np.complex128)
-    free = np.ones(n, dtype=bool)
-    for j in range(cols.shape[1]):
-        mags = np.where(free, np.abs(a[:, j]), -1.0)
-        p = n - 1 - int(np.argmax(mags[::-1]))
-        free[p] = False
-        a -= np.outer(a[:, j] / a[p, j], a[p])
-    return np.hstack([cols, np.eye(n, dtype=np.complex128)[:, free]])
+    n = col.shape[0]
+    p = n - 1 - int(np.argmax(np.abs(col[::-1, 0])))
+    return np.hstack([col, np.delete(np.eye(n, dtype=np.complex128), p, axis=1)])
+
+
+def _state_basis(v: np.ndarray, orthonormal: bool, tol: Tolerance) -> np.ndarray:
+    """v/||v|| completed to a basis (a unitary one when orthonormal)."""
+    v = _rescaled(v)
+    col = (v / np.linalg.norm(v)).reshape(v.size, 1)
+    if orthonormal:
+        return complete_orthonormal(col, v.size, tol)
+    return _complete_column(col)
 
 
 def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
@@ -86,72 +88,41 @@ def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
     the result is inner-product compatible.
     """
     v = as_vector(w)
-    n = v.size
-    _check_shape(n, k, l)
-    v = _rescaled(v)
-    col = (v / np.linalg.norm(v)).reshape(n, 1)
-    if orthonormal:
-        basis = complete_orthonormal(col, n, tol)
-    else:
-        basis = _complete_columns(col, n)
-    return tps_making_basis_product(basis, k, l, tol)
+    _check_shape(v.size, k, l)
+    return tps_new(k, l, _state_basis(v, orthonormal, tol), tol)
+
+
+def _check_entangling(k: int, l: int):
+    if k < 2 or l < 2:
+        raise ShapeTooSmall("an entangling grid needs both factors >= 2")
+
+
+def _repaired(basis: np.ndarray, k: int, l: int, tol: Tolerance) -> Tps:
+    """The state-product basis with three cells re-paired: cells (0, 1) and
+    (1, 0) get (c0 +- c1)/sqrt 2 for c0 = w/||w|| in cell (0, 0) and c1 in
+    cell (0, 1), and cell (0, 0) gets cell (1, 0).  A 2 x 2 unitary mix, so
+    cond(B) is unchanged and w has coefficient ||w||/sqrt 2 on two cells."""
+    b = np.array(basis)
+    c0, c1 = b[:, 0], b[:, 1]
+    b[:, [0, 1, l]] = np.column_stack([b[:, l], (c0 + c1) / np.sqrt(2.0),
+                                       (c0 - c1) / np.sqrt(2.0)])
+    return tps_new(k, l, b, tol)
 
 
 def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
                                tol: Tolerance = DEFAULT_TOL) -> Tps:
-    """Structure under which the given state has Schmidt rank exactly 2.
-
-    Splits w = w1 + w2 with w1 along a standard basis direction not parallel
-    to w, assigns the two parts to the off-diagonal grid cells (0, 1) and
-    (1, 0), and fills the rest of the basis lexicographically.  The basis
-    holds the two parts divided by ||w||.
-    """
+    """Structure under which the given state has Schmidt rank exactly 2,
+    with two equal Schmidt coefficients: the basis of
+    `tps_making_state_product` with three of its cells re-paired."""
     v = as_vector(w)
-    n = v.size
-    _check_shape(n, k, l)
-    if k < 2 or l < 2:
-        raise ShapeTooSmall("an entangling grid needs both factors >= 2")
-    v = _rescaled(v)
-    norm = np.linalg.norm(v)
-
-    # smallest-index coordinate direction not parallel to w
-    u_idx = 0
-    for idx in range(n):
-        e = np.zeros(n, dtype=np.complex128)
-        e[idx] = 1.0
-        resid = v - v[idx] * e
-        if np.linalg.norm(resid) > 1e-6 * norm:
-            u_idx = idx
-            break
-    u = np.zeros(n, dtype=np.complex128)
-    u[u_idx] = 1.0
-    w1 = u * (norm / np.sqrt(2.0))
-    w2 = v - w1
-
-    if orthonormal:
-        q, _ = np.linalg.qr(np.column_stack([w1, w2]))
-        c = q.conj().T @ v  # w in the orthonormal frame of span{w1, w2}
-        # both coordinates must stay away from zero for a rank-2 layout
-        if min(abs(c[0]), abs(c[1])) < 1e-6 * norm:
-            rot = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
-            q = q @ rot
-        pair = q
-        rest = complete_orthonormal(pair, n, tol)[:, 2:]
-    else:
-        pair = np.column_stack([w1, w2]) / norm
-        rest = _complete_columns(pair, n)[:, 2:]
-
-    basis = np.zeros((n, n), dtype=np.complex128)
-    basis[:, 0 * l + 1] = pair[:, 0]
-    basis[:, 1 * l + 0] = pair[:, 1]
-    cells = [p for p in range(n) if p not in (0 * l + 1, 1 * l + 0)]
-    for col, cell in enumerate(cells):
-        basis[:, cell] = rest[:, col]
-    return tps_new(k, l, basis, tol)
+    _check_shape(v.size, k, l)
+    _check_entangling(k, l)
+    return _repaired(_state_basis(v, orthonormal, tol), k, l, tol)
 
 
 def dual_verdict(w, k: int, l: int, tol: Tolerance = DEFAULT_TOL):
-    """Pair of structures giving opposite separability verdicts on one state."""
+    """Pair of structures giving opposite separability verdicts on one state:
+    the orthonormal product structure, and its basis re-paired."""
     product_tps = tps_making_state_product(w, k, l, orthonormal=True, tol=tol)
-    entangled_tps = tps_making_state_entangled(w, k, l, orthonormal=True, tol=tol)
-    return product_tps, entangled_tps
+    _check_entangling(k, l)
+    return product_tps, _repaired(product_tps.basis, k, l, tol)

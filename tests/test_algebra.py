@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,24 @@ def test_is_tpp_matches_six_check_diagnostic():
         assert list(got.checks) == list(full.checks), name
         failed = {check for check, ok in got.checks.items() if not ok}
         assert failed == must_fail and got.is_tpp == (not must_fail), name
+
+
+def test_non_commuting_rejection_forms_no_product_stack():
+    # two copies of M_9: all 81 x 81 products x y would take 8.5 MB, and the
+    # commutators as much again
+    n = 9
+    full = OperatorAlgebra(dim_space=n, span_basis=np.eye(n * n).reshape(-1, n, n),
+                           unital=True)
+    tracemalloc.start()
+    try:
+        verdict = _diagnose(full, full, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert verdict.checks == {"commute": False, "star_closed": True,
+                              "dims_square": False, "mutual_commutant": False,
+                              "trivial_center": True, "join_full": False}
 
 
 def test_commuting_rejection_closes_no_algebra(monkeypatch):

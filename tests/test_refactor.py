@@ -25,7 +25,7 @@ from tpskit.errors import (
 )
 
 from oracles import greedy_completion
-from util import random_invertible, random_state
+from util import count_calls, random_invertible, random_state
 
 
 def test_basis_product_preserves_columns_exactly():
@@ -176,8 +176,9 @@ def test_completion_leaves_out_the_pivot_coordinates():
     for v in (w, 1e-9 * w, 1e9 * w):
         assert np.array_equal(tps_making_state_product(v, 2, 2).basis[:, 1:],
                               eye[:, [0, 1, 3]])
-    # the entangling split pivots on its coordinate part (e_0), then on the
-    # largest remaining entry of the other part
+    # the entangling structure re-pairs the product structure's first three
+    # cells: its cell (0, 0) is the product's cell (1, 0), here e_2 (the
+    # pivot of [1, 3, 1, 2] is coordinate 1), and cell (1, 1) is unchanged
     basis = tps_making_state_entangled(np.array([1, 3, 1, 2]), 2, 2).basis
     assert np.array_equal(basis[:, [0, 3]], eye[:, [2, 3]])
 
@@ -187,14 +188,69 @@ def test_completion_matches_the_greedy_oracle():
     for n in (4, 9, 16, 36, 64):
         for _ in range(5):
             w = random_state(rng, n)
-            u = w / np.linalg.norm(w)
-            # the state alone, and the entangling split's coordinate part first
-            for cols in (u.reshape(n, 1), np.column_stack([np.eye(n)[:, 0], u])):
-                m = cols.shape[1]
-                basis = tpskit.refactor._complete_columns(cols, n)
-                assert np.array_equal(basis[:, :m], cols)
-                assert np.array_equal(basis[:, m:],
-                                      np.eye(n)[:, greedy_completion(cols, n)])
+            col = (w / np.linalg.norm(w)).reshape(n, 1)
+            basis = tpskit.refactor._complete_column(col)
+            assert np.array_equal(basis[:, :1], col)
+            assert np.array_equal(basis[:, 1:],
+                                  np.eye(n)[:, greedy_completion(col, n)])
+
+
+def test_entangled_structure_re_pairs_the_product_structure():
+    rng = np.random.default_rng(59)
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 6), (8, 8)):
+        n = k * l
+        # every cell but (0, 0), (0, 1) and (1, 0) is left as it was
+        kept = [p for p in range(n) if p not in (0, 1, l)]
+        e0 = np.eye(n)[0]
+        tie = np.zeros(n, dtype=complex)
+        tie[:3] = [0.5, 2, -2j]
+        for w in (e0, tie, random_state(rng, n)):
+            for alpha in (1e-300, 1.0, 1e300):
+                v = alpha * w
+                for orthonormal in (False, True):
+                    case = (k, l, alpha, orthonormal)
+                    tp = tps_making_state_product(v, k, l, orthonormal)
+                    te = tps_making_state_entangled(v, k, l, orthonormal)
+                    rep = schmidt(v, te)
+                    assert rep.rank == 2, case
+                    # the ratio, since ||v|| overflows at the largest scale
+                    c = rep.coefficients
+                    assert abs(c[1] / c[0] - 1) <= 1e-12, case
+                    assert not orthonormal or is_inner_product_compatible(te), case
+                    assert np.array_equal(te.basis[:, kept], tp.basis[:, kept]), case
+
+
+@pytest.mark.parametrize("w, k, l, product, entangled, dual", [
+    (np.zeros(4), 2, 2, ZeroState, ZeroState, ZeroState),
+    (np.zeros(4), 1, 4, ZeroState, ShapeTooSmall, ZeroState),
+    (np.ones(4), 1, 4, None, ShapeTooSmall, ShapeTooSmall),
+    (np.zeros(4), 4, 1, ZeroState, ShapeTooSmall, ZeroState),
+    (np.zeros(6), 2, 2, DimensionMismatch, DimensionMismatch, DimensionMismatch),
+    (np.zeros(5), 2, 2, NonCompositeDim, NonCompositeDim, NonCompositeDim),
+    (np.zeros(5), 1, 4, DimensionMismatch, DimensionMismatch, DimensionMismatch),
+    (np.zeros(4), 0, 4, DimensionMismatch, DimensionMismatch, DimensionMismatch),
+    (np.array([0, 1, np.nan, 0]), 1, 4, ValueError, ValueError, ValueError),
+])
+def test_makers_refuse_bad_input_in_order(w, k, l, product, entangled, dual):
+    calls = [(product, lambda: tps_making_state_product(w, k, l)),
+             (product, lambda: tps_making_state_product(w, k, l, True)),
+             (entangled, lambda: tps_making_state_entangled(w, k, l)),
+             (entangled, lambda: tps_making_state_entangled(w, k, l, True)),
+             (dual, lambda: dual_verdict(w, k, l))]
+    for error, call in calls:
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+
+
+def test_dual_verdict_completes_the_state_once(monkeypatch):
+    calls = count_calls(monkeypatch, tpskit.refactor, "complete_orthonormal")
+    w = random_state(np.random.default_rng(60), 12)
+    tp, te = dual_verdict(w, 3, 4)
+    assert len(calls) == 1
+    assert is_product(w, tp) and schmidt(w, te).rank == 2
 
 
 def test_import_loads_no_scipy():
