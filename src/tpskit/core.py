@@ -55,7 +55,7 @@ def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray
         raise DimensionMismatch(f"expected {rows} rows, got {a.shape[0]}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionMismatch(f"expected {cols} columns, got {a.shape[1]}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -65,7 +65,7 @@ def as_vector(w, n: int | None = None) -> np.ndarray:
     a = np.asarray(w, dtype=np.complex128).reshape(-1)
     if n is not None and a.size != n:
         raise DimensionMismatch(f"expected a vector of length {n}, got {a.size}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValueError("vector entries must be finite")
     return a
 

@@ -10,9 +10,10 @@ from .errors import (
     DimensionMismatch,
     NonCompositeDim,
     ShapeTooSmall,
+    SingularBasis,
     ZeroState,
 )
-from .tps import Tps, tps_new
+from .tps import Tps, _rank_checked
 
 
 def _check_shape(n: int, k: int, l: int):
@@ -54,7 +55,9 @@ def tps_making_basis_product(basis, k: int, l: int,
     b = as_matrix(basis)
     n = b.shape[0]
     _check_shape(n, k, l)
-    return tps_new(k, l, b, tol)
+    if b.shape[1] != n:
+        raise DimensionMismatch(f"expected {n} columns, got {b.shape[1]}")
+    return _rank_checked(Tps(dim=n, k=k, l=l, basis=b), tol)
 
 
 def _complete_column(col: np.ndarray) -> np.ndarray:
@@ -71,11 +74,23 @@ def _complete_column(col: np.ndarray) -> np.ndarray:
 
 
 def _state_basis(v: np.ndarray, orthonormal: bool, tol: Tolerance) -> np.ndarray:
-    """v/||v|| completed to a basis (a unitary one when orthonormal)."""
+    """v/||v|| completed to a basis (a unitary one when orthonormal), refused
+    as `tps_new`'s rank test refuses it but without an SVD.
+
+    A unitary basis has every singular value 1 to rounding, so it passes
+    (an SVD could refuse it only for a rank_rel within rounding of 1).  For
+    a unit column c the pivot completion has n - 2 singular values 1 and
+    s+ >= 1 >= s- with s+^2 = 1 + r, r the norm of c off its pivot, and
+    s+ s- = |c_p|, the determinant; so s- <= rank_rel s+ exactly when
+    |c_p| <= rank_rel (1 + r).
+    """
     v = _rescaled(v)
     col = (v / np.linalg.norm(v)).reshape(v.size, 1)
     if orthonormal:
         return complete_orthonormal(col, v.size, tol)
+    mags = np.sort(np.abs(col[:, 0]))
+    if not mags[-1] > tol.rank_rel * (1 + np.linalg.norm(mags[:-1])):
+        raise SingularBasis("basis matrix is numerically singular")
     return _complete_column(col)
 
 
@@ -85,11 +100,12 @@ def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
 
     The basis holds w/||w||, so its conditioning does not depend on the
     scale of w.  With orthonormal=True it is completed to a unitary basis, so
-    the result is inner-product compatible.
+    the result is inner-product compatible.  The basis gets `tps_new`'s rank
+    verdict from its known singular values, without an SVD.
     """
     v = as_vector(w)
     _check_shape(v.size, k, l)
-    return tps_new(k, l, _state_basis(v, orthonormal, tol), tol)
+    return Tps(dim=v.size, k=k, l=l, basis=_state_basis(v, orthonormal, tol))
 
 
 def _check_entangling(k: int, l: int):
@@ -97,32 +113,35 @@ def _check_entangling(k: int, l: int):
         raise ShapeTooSmall("an entangling grid needs both factors >= 2")
 
 
-def _repaired(basis: np.ndarray, k: int, l: int, tol: Tolerance) -> Tps:
+def _repaired(basis: np.ndarray, k: int, l: int) -> Tps:
     """The state-product basis with three cells re-paired: cells (0, 1) and
     (1, 0) get (c0 +- c1)/sqrt 2 for c0 = w/||w|| in cell (0, 0) and c1 in
     cell (0, 1), and cell (0, 0) gets cell (1, 0).  A 2 x 2 unitary mix, so
-    cond(B) is unchanged and w has coefficient ||w||/sqrt 2 on two cells."""
+    the singular values, and with them `tps_new`'s rank verdict, are those
+    of the product basis, and w has coefficient ||w||/sqrt 2 on two cells."""
     b = np.array(basis)
     c0, c1 = b[:, 0], b[:, 1]
     b[:, [0, 1, l]] = np.column_stack([b[:, l], (c0 + c1) / np.sqrt(2.0),
                                        (c0 - c1) / np.sqrt(2.0)])
-    return tps_new(k, l, b, tol)
+    return Tps(dim=k * l, k=k, l=l, basis=b)
 
 
 def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
                                tol: Tolerance = DEFAULT_TOL) -> Tps:
     """Structure under which the given state has Schmidt rank exactly 2,
     with two equal Schmidt coefficients: the basis of
-    `tps_making_state_product` with three of its cells re-paired."""
+    `tps_making_state_product` with three of its cells re-paired (no SVD
+    either)."""
     v = as_vector(w)
     _check_shape(v.size, k, l)
     _check_entangling(k, l)
-    return _repaired(_state_basis(v, orthonormal, tol), k, l, tol)
+    return _repaired(_state_basis(v, orthonormal, tol), k, l)
 
 
 def dual_verdict(w, k: int, l: int, tol: Tolerance = DEFAULT_TOL):
     """Pair of structures giving opposite separability verdicts on one state:
-    the orthonormal product structure, and its basis re-paired."""
+    the orthonormal product structure, and its basis re-paired.  Both are
+    unitary, so the one SVD is the unitary completion's."""
     product_tps = tps_making_state_product(w, k, l, orthonormal=True, tol=tol)
     _check_entangling(k, l)
-    return product_tps, _repaired(product_tps.basis, k, l, tol)
+    return product_tps, _repaired(product_tps.basis, k, l)

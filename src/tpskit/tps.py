@@ -39,7 +39,9 @@ class Tps:
     @property
     def singular_values(self) -> np.ndarray:
         """Singular values of the basis, descending and read-only; computed
-        once, on first use (by `tps_new`, for its rank test)."""
+        by an SVD once, on first use (`tps_new` uses them for its rank test;
+        the grids that the refactor makers build skip that SVD, as their
+        singular values are known in closed form)."""
         s = self._singular_values
         if s is None:
             s = np.linalg.svd(self.basis, compute_uv=False)
@@ -76,7 +78,13 @@ def tps_new(k: int, l: int, basis, tol: Tolerance = DEFAULT_TOL) -> Tps:
         raise DimensionMismatch("factor dimensions must be >= 1")
     n = k * l
     t = Tps(dim=n, k=k, l=l, basis=as_matrix(basis, rows=n, cols=n))
-    if singular_rank(t.singular_values, tol) < n:
+    return _rank_checked(t, tol)
+
+
+def _rank_checked(t: Tps, tol: Tolerance) -> Tps:
+    """t, unless its basis is numerically singular: its smallest singular
+    value is at most ``rank_rel`` times its largest."""
+    if singular_rank(t.singular_values, tol) < t.dim:
         raise SingularBasis("basis matrix is numerically singular")
     return t
 
@@ -88,9 +96,11 @@ def god_given(k: int, l: int) -> Tps:
 
 
 def coefficient_matrix(w, t: Tps) -> np.ndarray:
-    """k-by-l matrix C with ``t.basis @ vec(C) = w`` (vec in j*l+i order)."""
-    v = as_vector(w, n=t.dim)
-    c = np.linalg.solve(t.basis, v)
+    """k-by-l matrix C with ``t.basis @ vec(C) = w`` (vec in j*l+i order).
+    Raises ValueError when w is not finite or the solve overflows."""
+    c = np.linalg.solve(t.basis, as_vector(w, n=t.dim))
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients overflow: the solve is not finite")
     return c.reshape(t.k, t.l)
 
 
@@ -102,19 +112,14 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     reconstructs the coefficient matrix.
     """
     try:
-        u, s, vh = np.linalg.svd(as_matrix(coefficient_matrix(w, t)),
-                                 full_matrices=False)
+        u, s, vh = np.linalg.svd(coefficient_matrix(w, t), full_matrices=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceFailure(str(e)) from e
     r = singular_rank(s, tol)
     if r == 0:
         raise ZeroState("cannot classify the zero vector")
-    return SchmidtReport(
-        rank=r,
-        coefficients=s[:r].copy(),
-        left_vectors=u[:, :r].copy(),
-        right_vectors=vh[:r].T.copy(),
-    )
+    return SchmidtReport(rank=r, coefficients=s[:r], left_vectors=u[:, :r],
+                         right_vectors=vh[:r].T)
 
 
 def is_product(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -185,3 +185,13 @@ def test_phase_fix_scale_consistency():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     z = np.exp(1j * 0.7)
     assert np.linalg.norm(phase_fix(v * z) - phase_fix(v)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_real_or_imaginary_part_is_refused(bad):
+    for part in (complex(bad, 0.0), complex(0.0, bad)):
+        entries = np.array([1.0, part, 2j, 3.0])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_matrix(entries.reshape(2, 2))
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            as_vector(entries)

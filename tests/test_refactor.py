@@ -16,13 +16,16 @@ from tpskit import (
     tps_making_basis_product,
     tps_making_state_entangled,
     tps_making_state_product,
+    tps_new,
 )
 from tpskit.errors import (
     DimensionMismatch,
     NonCompositeDim,
     ShapeTooSmall,
+    SingularBasis,
     ZeroState,
 )
+from tpskit.core import Tolerance
 
 from oracles import greedy_completion
 from util import count_calls, random_invertible, random_state
@@ -261,3 +264,62 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("maker, orthonormal, svds", [
+    (tps_making_state_product, False, 0),
+    (tps_making_state_entangled, False, 0),
+    (tps_making_state_product, True, 1),
+    (tps_making_state_entangled, True, 1),
+    (dual_verdict, None, 1),
+])
+def test_makers_run_no_rank_test_svd(monkeypatch, maker, orthonormal, svds):
+    # the SVDs left are those of `complete_orthonormal`
+    w = random_state(np.random.default_rng(61), 12)
+    calls = count_calls(monkeypatch, np.linalg, "svd")
+    if orthonormal is None:
+        grids = maker(w, 3, 4)
+    else:
+        grids = (maker(w, 3, 4, orthonormal),)
+    assert len(calls) == svds
+    for t in grids:
+        assert np.array_equal(t.singular_values,
+                              np.linalg.svd(t.basis, compute_uv=False))
+
+
+def _verdict(build):
+    try:
+        build()
+    except SingularBasis:
+        return False
+    return True
+
+
+def test_maker_rank_verdicts_match_tps_new():
+    rng = np.random.default_rng(62)
+    verdicts = set()
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 6), (8, 8)):
+        n = k * l
+        tie = np.zeros(n, dtype=complex)
+        tie[:3] = [0.5, 2, -2j]
+        for w in (np.eye(n)[0], tie, random_state(rng, n)):
+            for alpha in (1e-300, 1.0, 1e300):
+                v = alpha * w
+                for orthonormal in (False, True):
+                    # the bases do not depend on the tolerance
+                    bp = tps_making_state_product(v, k, l, orthonormal).basis
+                    be = tps_making_state_entangled(v, k, l, orthonormal).basis
+                    for rank_rel in (1e-10, 0.05, 0.2, 0.45):
+                        tol = Tolerance(rank_rel=rank_rel)
+                        case = (k, l, alpha, orthonormal, rank_rel)
+                        want = _verdict(lambda: tps_new(k, l, bp, tol))
+                        assert _verdict(lambda: tps_making_state_product(
+                            v, k, l, orthonormal, tol)) == want, case
+                        assert _verdict(lambda: tps_new(k, l, be, tol)) == want, case
+                        assert _verdict(lambda: tps_making_state_entangled(
+                            v, k, l, orthonormal, tol)) == want, case
+                        if orthonormal:
+                            assert _verdict(lambda: dual_verdict(v, k, l, tol)) == want
+                        verdicts.add((orthonormal, want))
+    # unitary bases always pass; the pivot completion passes and fails
+    assert verdicts == {(True, True), (False, True), (False, False)}

@@ -341,3 +341,13 @@ def test_compatibility_agrees_with_the_gram_test():
             t = tps_new(k, l, b)
             assert is_inner_product_compatible(t) == want, (k, l)
             assert oracles.gram_compatible(t, DEFAULT_TOL) == want, (k, l)
+
+
+def test_overflowing_solve_is_refused():
+    # 1e10 / 1e-300 overflows: an SVD of the inf coefficients fails, or
+    # returns nan singular values, which count as rank 0
+    t = tps_new(2, 2, 1e-300 * np.eye(4))
+    w = 1e10 * np.ones(4)
+    for call in (coefficient_matrix, schmidt, is_product):
+        with pytest.raises(ValueError, match="overflow"):
+            call(w, t)
