@@ -21,7 +21,7 @@ building its grid runs the certification once.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,19 +49,15 @@ from .tps import Tps, is_inner_product_compatible
 class OperatorAlgebra:
     """A multiplication-closed span of n x n matrices.  span_basis is a
     private read-only copy, so the verdicts kept in _memo (by partner and
-    Tolerance) stay valid.  _fresh is for tpskit's own spans: an array it
-    has just built and holds no other reference to is made read-only in
-    place rather than copied."""
+    Tolerance) stay valid."""
 
     dim_space: int                 # n: algebra elements are n x n
     span_basis: np.ndarray         # (dim, n, n), Frobenius-orthonormal
     unital: bool
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _fresh: InitVar[bool] = False
 
-    def __post_init__(self, _fresh):
-        basis = self.span_basis if _fresh else np.array(self.span_basis,
-                                                        dtype=np.complex128)
+    def __post_init__(self):
+        basis = np.array(self.span_basis, dtype=np.complex128)
         basis.flags.writeable = False
         object.__setattr__(self, "span_basis", basis)
 
@@ -155,7 +151,7 @@ def _algebra(basis: np.ndarray, n: int) -> OperatorAlgebra:
     unital = _projection_residual(
         np.eye(n, dtype=np.complex128)[None], basis.reshape(basis.shape[0], n * n)
     ) <= 1e-8
-    return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital, _fresh=True)
+    return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital)
 
 
 def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -285,8 +281,7 @@ def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     for span in spans:
         basis = _lowdin(span)
         pair.append(_from_closed_span(span, n, tol) if basis is None else
-                    OperatorAlgebra(dim_space=n, span_basis=basis, unital=True,
-                                    _fresh=True))
+                    OperatorAlgebra(dim_space=n, span_basis=basis, unital=True))
     return tuple(pair)
 
 

@@ -5,7 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, complete_orthonormal
+from .core import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_matrix,
+    as_vector,
+    complete_orthonormal,
+    singular_rank,
+)
 from .errors import (
     DimensionMismatch,
     NonCompositeDim,
@@ -13,7 +20,7 @@ from .errors import (
     SingularBasis,
     ZeroState,
 )
-from .tps import Tps, _rank_checked
+from .tps import Tps, tps_new
 
 
 def _check_shape(n: int, k: int, l: int):
@@ -55,9 +62,7 @@ def tps_making_basis_product(basis, k: int, l: int,
     b = as_matrix(basis)
     n = b.shape[0]
     _check_shape(n, k, l)
-    if b.shape[1] != n:
-        raise DimensionMismatch(f"expected {n} columns, got {b.shape[1]}")
-    return _rank_checked(Tps(dim=n, k=k, l=l, basis=b), tol)
+    return tps_new(k, l, b, tol)
 
 
 def _complete_column(col: np.ndarray) -> np.ndarray:
@@ -81,15 +86,15 @@ def _state_basis(v: np.ndarray, orthonormal: bool, tol: Tolerance) -> np.ndarray
     (an SVD could refuse it only for a rank_rel within rounding of 1).  For
     a unit column c the pivot completion has n - 2 singular values 1 and
     s+ >= 1 >= s- with s+^2 = 1 + r, r the norm of c off its pivot, and
-    s+ s- = |c_p|, the determinant; so s- <= rank_rel s+ exactly when
-    |c_p| <= rank_rel (1 + r).
+    s+ s- = |c_p|, the determinant; `singular_rank` judges that pair.
     """
     v = _rescaled(v)
     col = (v / np.linalg.norm(v)).reshape(v.size, 1)
     if orthonormal:
         return complete_orthonormal(col, v.size, tol)
     mags = np.sort(np.abs(col[:, 0]))
-    if not mags[-1] > tol.rank_rel * (1 + np.linalg.norm(mags[:-1])):
+    s_plus = np.sqrt(1 + np.linalg.norm(mags[:-1]))
+    if singular_rank(np.array([s_plus, mags[-1] / s_plus]), tol) < 2:
         raise SingularBasis("basis matrix is numerically singular")
     return _complete_column(col)
 

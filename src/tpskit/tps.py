@@ -78,13 +78,7 @@ def tps_new(k: int, l: int, basis, tol: Tolerance = DEFAULT_TOL) -> Tps:
         raise DimensionMismatch("factor dimensions must be >= 1")
     n = k * l
     t = Tps(dim=n, k=k, l=l, basis=as_matrix(basis, rows=n, cols=n))
-    return _rank_checked(t, tol)
-
-
-def _rank_checked(t: Tps, tol: Tolerance) -> Tps:
-    """t, unless its basis is numerically singular: its smallest singular
-    value is at most ``rank_rel`` times its largest."""
-    if singular_rank(t.singular_values, tol) < t.dim:
+    if singular_rank(t.singular_values, tol) < n:
         raise SingularBasis("basis matrix is numerically singular")
     return t
 

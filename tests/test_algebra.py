@@ -594,19 +594,3 @@ def test_span_basis_copies_a_read_only_view():
         basis[0, 0, 0] = 5
         assert a.span_basis[0, 0, 0] != 5
 
-
-def test_spans_built_by_tps_to_tpp_are_wrapped_uncopied(monkeypatch):
-    built = []
-    for name in ("_lowdin", "_orthonormal_span"):
-        def kept(*args, original=getattr(tpskit.algebra, name)):
-            built.append(original(*args))
-            return built[-1]
-        monkeypatch.setattr(tpskit.algebra, name, kept)
-    rng = np.random.default_rng(55)
-    for basis in (random_unitary(rng, 6), random_invertible(rng, 6)):
-        built.clear()
-        pair = tps_to_tpp(tps_new(2, 3, basis))
-        spans = [b for b in built if b is not None]
-        assert len(spans) == 2
-        for a, span in zip(pair, spans):
-            assert a.span_basis is span and not span.flags.writeable
