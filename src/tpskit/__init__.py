@@ -12,7 +12,7 @@ from .algebra import (
     tpp_to_tps,
     tps_to_tpp,
 )
-from .core import Tolerance, complete_orthonormal, numeric_rank
+from .core import Tolerance, numeric_rank
 from .errors import TpskitError
 from .observables import (
     CharacteristicSets,

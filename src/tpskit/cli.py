@@ -29,7 +29,13 @@ from .serialize import (
     tps_to_json,
     vector_from_json,
 )
-from .tps import is_inner_product_compatible, is_product, schmidt
+from .tps import (
+    _schmidt_of,
+    coefficient_matrix,
+    is_inner_product_compatible,
+    is_product,
+    schmidt,
+)
 from .observables import tps_from_observables
 
 
@@ -82,8 +88,12 @@ def _emit(payload):
 def _cmd_analyze(args, tol: Tolerance) -> int:
     w = vector_from_json(_load_json(args.state), "state")
     t = tps_from_json(_load_json(args.tps), tol)
-    report = schmidt(w, t, tol)
-    roundtrip = t.basis @ np.linalg.solve(t.basis, w)
+    try:
+        c = coefficient_matrix(w, t)
+    except ValueError as e:  # the solve overflows
+        raise InputError(str(e))
+    report = _schmidt_of(c, tol)
+    roundtrip = t.basis @ c.reshape(-1)
     _emit({
         "schmidt": schmidt_to_json(report),
         "product": report.rank == 1,
@@ -107,15 +117,15 @@ def _cmd_refactor(args, tol: Tolerance) -> int:
     w = vector_from_json(_load_json(args.state), "state")
     k, l = _parse_shape(args.shape)
     if args.mode == "product":
-        t = tps_making_state_product(w, k, l, args.orthonormal, tol)
+        t = tps_making_state_product(w, k, l)
         _emit({"tps": tps_to_json(t),
                "verdict": {"product": is_product(w, t, tol)}})
     elif args.mode == "entangled":
-        t = tps_making_state_entangled(w, k, l, args.orthonormal, tol)
+        t = tps_making_state_entangled(w, k, l)
         _emit({"tps": tps_to_json(t),
                "verdict": {"schmidt_rank": schmidt(w, t, tol).rank}})
     else:
-        tp, te = dual_verdict(w, k, l, tol)
+        tp, te = dual_verdict(w, k, l)
         _emit({
             "product_tps": tps_to_json(tp),
             "entangled_tps": tps_to_json(te),
@@ -176,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="grid shape KxL")
     p.add_argument("--mode", required=True,
                    choices=["product", "entangled", "dual"])
-    p.add_argument("--orthonormal", action="store_true")
 
     p = sub.add_parser("verify-tpp", help="certify an algebra pair")
     p.add_argument("--a1", required=True)

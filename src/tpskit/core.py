@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    MultiplicityViolation,
-    NotDiagonalizable,
-    NotOrthonormal,
-)
+from .errors import DimensionMismatch, MultiplicityViolation, NotDiagonalizable
 
 COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 
@@ -183,31 +178,6 @@ def intertwiners(lefts, rights, cut: float) -> np.ndarray:
     evals, evecs = np.linalg.eigh(gram)
     null = evecs[:, evals <= cut * max(float(evals[-1]), 1.0)]
     return null.T.reshape(-1, n, m).transpose(0, 2, 1)
-
-
-def complete_orthonormal(vs, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Extend orthonormal columns to a full n-by-n unitary.
-
-    The first ``vs.shape[1]`` columns of the result equal ``vs`` exactly.
-    """
-    a = np.asarray(vs, dtype=np.complex128)
-    if a.size == 0:
-        a = a.reshape(n, 0)
-    a = as_matrix(a, rows=n)
-    m = a.shape[1]
-    if m > n:
-        raise DimensionMismatch("more columns than the target dimension")
-    if m > 0:
-        gram = a.conj().T @ a
-        if np.max(np.abs(gram - np.eye(m))) > 10 * tol.residual:
-            raise NotOrthonormal("input columns are not orthonormal")
-    if m == n:
-        return a.copy()
-    if m == 0:
-        return np.eye(n, dtype=np.complex128)
-    u, _, _ = np.linalg.svd(a, full_matrices=True)
-    # u[:, :m] spans range(a); the trailing columns span the complement
-    return np.hstack([a, u[:, m:]])
 
 
 def phase_fix(v: np.ndarray) -> np.ndarray:

@@ -13,10 +13,6 @@ class ConvergenceFailure(TpskitError):
     pass
 
 
-class NotOrthonormal(TpskitError):
-    pass
-
-
 class SingularBasis(TpskitError):
     pass
 

@@ -5,21 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    Tolerance,
-    as_matrix,
-    as_vector,
-    complete_orthonormal,
-    singular_rank,
-)
-from .errors import (
-    DimensionMismatch,
-    NonCompositeDim,
-    ShapeTooSmall,
-    SingularBasis,
-    ZeroState,
-)
+from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector
+from .errors import DimensionMismatch, NonCompositeDim, ShapeTooSmall, ZeroState
 from .tps import Tps, tps_new
 
 
@@ -65,52 +52,33 @@ def tps_making_basis_product(basis, k: int, l: int,
     return tps_new(k, l, b, tol)
 
 
-def _complete_column(col: np.ndarray) -> np.ndarray:
-    """Extend a nonzero column to an invertible n x n matrix.
-
-    Keeps the column first and appends, in index order, the standard basis
-    vectors of every coordinate but its pivot, its largest-magnitude entry
-    (ties to the highest index, so the appended vectors favour low indices).
-    The choice depends on the direction of the column, not its scale.
-    """
-    n = col.shape[0]
-    p = n - 1 - int(np.argmax(np.abs(col[::-1, 0])))
-    return np.hstack([col, np.delete(np.eye(n, dtype=np.complex128), p, axis=1)])
-
-
-def _state_basis(v: np.ndarray, orthonormal: bool, tol: Tolerance) -> np.ndarray:
-    """v/||v|| completed to a basis (a unitary one when orthonormal), refused
-    as `tps_new`'s rank test refuses it but without an SVD.
-
-    A unitary basis has every singular value 1 to rounding, so it passes
-    (an SVD could refuse it only for a rank_rel within rounding of 1).  For
-    a unit column c the pivot completion has n - 2 singular values 1 and
-    s+ >= 1 >= s- with s+^2 = 1 + r, r the norm of c off its pivot, and
-    s+ s- = |c_p|, the determinant; `singular_rank` judges that pair.
-    """
-    v = _rescaled(v)
-    col = (v / np.linalg.norm(v)).reshape(v.size, 1)
-    if orthonormal:
-        return complete_orthonormal(col, v.size, tol)
-    mags = np.sort(np.abs(col[:, 0]))
-    s_plus = np.sqrt(1 + np.linalg.norm(mags[:-1]))
-    if singular_rank(np.array([s_plus, mags[-1] / s_plus]), tol) < 2:
-        raise SingularBasis("basis matrix is numerically singular")
-    return _complete_column(col)
+def _unitary_basis(w: np.ndarray) -> np.ndarray:
+    """A unitary basis whose column 0 is c = w/||w||, w first rescaled by a
+    power of two: the Householder reflector I - 2 u u^*/(u^* u) for
+    u = c + phi e_0, phi the phase of c_0 (1 when c_0 = 0), maps e_0 to
+    -conj(phi) c, so column 0 is then set to c itself.  |u_0| = 1 + |c_0|
+    >= 1, so forming u cancels nothing (Golub and Van Loan, Matrix
+    Computations, sec. 5.1).  O(n^2), with no SVD and no rank test."""
+    c = _rescaled(w)
+    c /= np.linalg.norm(c)
+    u = c.copy()
+    u[0] += c[0] / abs(c[0]) if c[0] else 1.0
+    h = np.outer(u * (-2 / np.vdot(u, u).real), u.conj())
+    h.flat[::c.size + 1] += 1
+    h[:, 0] = c
+    return h
 
 
-def tps_making_state_product(w, k: int, l: int, orthonormal: bool = False,
-                             tol: Tolerance = DEFAULT_TOL) -> Tps:
+def tps_making_state_product(w, k: int, l: int) -> Tps:
     """Structure making the given state a product vector (grid cell (0, 0)).
 
-    The basis holds w/||w||, so its conditioning does not depend on the
-    scale of w.  With orthonormal=True it is completed to a unitary basis, so
-    the result is inner-product compatible.  The basis gets `tps_new`'s rank
-    verdict from its known singular values, without an SVD.
+    The basis is a unitary completion of w/||w||, so the grid is
+    inner-product compatible and its conditioning (cond 1) does not depend
+    on the scale of w.
     """
     v = as_vector(w)
     _check_shape(v.size, k, l)
-    return Tps(dim=v.size, k=k, l=l, basis=_state_basis(v, orthonormal, tol))
+    return Tps(dim=v.size, k=k, l=l, basis=_unitary_basis(v))
 
 
 def _check_entangling(k: int, l: int):
@@ -122,8 +90,8 @@ def _repaired(basis: np.ndarray, k: int, l: int) -> Tps:
     """The state-product basis with three cells re-paired: cells (0, 1) and
     (1, 0) get (c0 +- c1)/sqrt 2 for c0 = w/||w|| in cell (0, 0) and c1 in
     cell (0, 1), and cell (0, 0) gets cell (1, 0).  A 2 x 2 unitary mix, so
-    the singular values, and with them `tps_new`'s rank verdict, are those
-    of the product basis, and w has coefficient ||w||/sqrt 2 on two cells."""
+    the basis stays unitary, and w has coefficient ||w||/sqrt 2 on two
+    cells."""
     b = np.array(basis)
     c0, c1 = b[:, 0], b[:, 1]
     b[:, [0, 1, l]] = np.column_stack([b[:, l], (c0 + c1) / np.sqrt(2.0),
@@ -131,22 +99,20 @@ def _repaired(basis: np.ndarray, k: int, l: int) -> Tps:
     return Tps(dim=k * l, k=k, l=l, basis=b)
 
 
-def tps_making_state_entangled(w, k: int, l: int, orthonormal: bool = False,
-                               tol: Tolerance = DEFAULT_TOL) -> Tps:
+def tps_making_state_entangled(w, k: int, l: int) -> Tps:
     """Structure under which the given state has Schmidt rank exactly 2,
-    with two equal Schmidt coefficients: the basis of
-    `tps_making_state_product` with three of its cells re-paired (no SVD
-    either)."""
+    with two equal Schmidt coefficients: the unitary basis of
+    `tps_making_state_product` with three of its cells re-paired."""
     v = as_vector(w)
     _check_shape(v.size, k, l)
     _check_entangling(k, l)
-    return _repaired(_state_basis(v, orthonormal, tol), k, l)
+    return _repaired(_unitary_basis(v), k, l)
 
 
-def dual_verdict(w, k: int, l: int, tol: Tolerance = DEFAULT_TOL):
+def dual_verdict(w, k: int, l: int):
     """Pair of structures giving opposite separability verdicts on one state:
-    the orthonormal product structure, and its basis re-paired.  Both are
-    unitary, so the one SVD is the unitary completion's."""
-    product_tps = tps_making_state_product(w, k, l, orthonormal=True, tol=tol)
+    the product structure, and its basis re-paired.  Both are unitary and
+    built from one completion of w, without an SVD."""
+    product_tps = tps_making_state_product(w, k, l)
     _check_entangling(k, l)
     return product_tps, _repaired(product_tps.basis, k, l)

@@ -40,8 +40,8 @@ class Tps:
     def singular_values(self) -> np.ndarray:
         """Singular values of the basis, descending and read-only; computed
         by an SVD once, on first use (`tps_new` uses them for its rank test;
-        the grids that the refactor makers build skip that SVD, as their
-        singular values are known in closed form)."""
+        the grids that the refactor makers build are unitary by construction
+        and skip that test)."""
         s = self._singular_values
         if s is None:
             s = np.linalg.svd(self.basis, compute_uv=False)
@@ -105,8 +105,13 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     its nonzero singular values, and ``sum_m sigma_m * outer(u_m, v_m)``
     reconstructs the coefficient matrix.
     """
+    return _schmidt_of(coefficient_matrix(w, t), tol)
+
+
+def _schmidt_of(c: np.ndarray, tol: Tolerance) -> SchmidtReport:
+    """Schmidt data of a finite coefficient matrix."""
     try:
-        u, s, vh = np.linalg.svd(coefficient_matrix(w, t), full_matrices=False)
+        u, s, vh = np.linalg.svd(c, full_matrices=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceFailure(str(e)) from e
     r = singular_rank(s, tol)

@@ -237,21 +237,3 @@ def reference_standard_complete(p, tol):
         r_eigenvalues=r_centers, t_eigenvalues=t_centers,
         M=m_spaces, N=n_spaces, grid=grid,
     )
-
-
-def greedy_completion(cols, n):
-    """Coordinates that complete the columns to a basis, picked greedily:
-    each time the coordinate vector with the largest residual against the
-    span so far.  This is the per-coordinate projector loop that the
-    partial-pivoting completion in tpskit.refactor replaced; the two agree
-    whenever the largest entries are not tied."""
-    q, _ = np.linalg.qr(cols)
-    resid = np.eye(n) - q @ q.conj().T
-    chosen = []
-    for _ in range(n - cols.shape[1]):
-        d = resid.diagonal().real
-        p = int(np.argmax(d))
-        chosen.append(p)
-        v = resid[:, p] / np.sqrt(d[p])
-        resid -= np.outer(v, v.conj())
-    return sorted(chosen)

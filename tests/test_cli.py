@@ -2,19 +2,21 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 
-from tpskit.cli import cli_main
+from tpskit.cli import build_parser, cli_main
 from tpskit.examples import bell_states, rotation_x_pi, total_sz_squared
 from tpskit.serialize import matrix_to_json, observable_pair_to_json, tps_to_json
-from tpskit import god_given, observable_pair
+from tpskit import god_given, observable_pair, tps_new
 from tpskit.algebra import tps_to_tpp
 from tpskit.serialize import algebra_to_json
 
-from util import random_standard_pair
+from util import count_calls, random_invertible, random_standard_pair
 
 
 def run_cli(args):
@@ -47,6 +49,30 @@ def test_analyze_bell_state(tmp_path):
     assert report["compatibility"] is True
 
 
+def test_analyze_overflowing_solve_exits_2(tmp_path):
+    # the coefficients 1e310 overflow: an input error, not a failed certificate
+    state = state_file(tmp_path, "state.json", 1e10 * np.ones(4))
+    tiny = tps_new(2, 2, 1e-300 * np.eye(4))
+    tps = write_json(tmp_path / "tps.json", tps_to_json(tiny))
+    code, out, err = run_cli(["analyze", "--state", state, "--tps", tps])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("InputError: ")
+
+
+def test_analyze_solves_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(82)
+    b, w = random_invertible(rng, 6), rng.normal(size=6) + 1j * rng.normal(size=6)
+    state = state_file(tmp_path, "state.json", w)
+    tps = write_json(tmp_path / "tps.json", tps_to_json(tps_new(2, 3, b)))
+    calls = count_calls(monkeypatch, np.linalg, "solve")
+    code, out, _ = run_cli(["analyze", "--state", state, "--tps", tps])
+    assert code == 0 and len(calls) == 1
+    # the residual of that one solve is the one a second solve gave
+    basis, v = calls[0]
+    want = np.linalg.norm(basis @ np.linalg.solve(basis, v) - v)
+    assert json.loads(out)["residuals"]["coefficient_solve"] == float(want)
+
+
 def test_build_tps_then_analyze(tmp_path):
     pair = observable_pair(rotation_x_pi(), total_sz_squared())
     obs = write_json(tmp_path / "pair.json", observable_pair_to_json(pair))
@@ -76,7 +102,7 @@ def test_refactor_modes(tmp_path):
     w = rng.normal(size=6) + 1j * rng.normal(size=6)
     state = state_file(tmp_path, "state.json", w)
     code, out, _ = run_cli(["refactor", "--state", state, "--shape", "2x3",
-                            "--mode", "product", "--orthonormal"])
+                            "--mode", "product"])
     assert code == 0 and json.loads(out)["verdict"]["product"] is True
     code, out, _ = run_cli(["refactor", "--state", state, "--shape", "2x3",
                             "--mode", "entangled"])
@@ -185,3 +211,18 @@ def test_build_tps_matches_golden_outputs(tmp_path):
         assert code == 0 and err == "", name
         with open(os.path.join(GOLDEN, name + ".json")) as fh:
             assert_same_json(json.loads(out), json.load(fh), name)
+
+
+def test_readme_cli_lines_parse():
+    # a flag removed from the parser cannot stay in the docs
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", fh.read(), re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("tpskit ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                raise AssertionError(f"{line}: {err.getvalue()}")

@@ -7,7 +7,6 @@ from tpskit.core import (
     as_matrix,
     as_vector,
     cluster_values,
-    complete_orthonormal,
     intertwiners,
     numeric_rank,
     phase_fix,
@@ -52,15 +51,6 @@ def test_numeric_rank_unitary_invariant():
         u1 = random_unitary(rng, n)
         u2 = random_unitary(rng, n)
         assert numeric_rank(u1 @ m @ u2) == r
-
-
-def test_complete_orthonormal():
-    rng = np.random.default_rng(4)
-    n = 6
-    cols, _ = np.linalg.qr(rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2)))
-    u = complete_orthonormal(cols, n)
-    assert np.array_equal(u[:, :2], cols)
-    assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 10 * DEFAULT_TOL.residual
 
 
 def test_cluster_values_grouping():

@@ -22,12 +22,10 @@ from tpskit.errors import (
     DimensionMismatch,
     NonCompositeDim,
     ShapeTooSmall,
-    SingularBasis,
     ZeroState,
 )
-from tpskit.core import Tolerance
+from tpskit.core import Tolerance, as_vector
 
-from oracles import greedy_completion
 from util import count_calls, random_invertible, random_state
 
 
@@ -53,7 +51,7 @@ def test_state_product_maker_orthonormal():
     rng = np.random.default_rng(52)
     w = random_state(rng, 6)
     w /= np.linalg.norm(w)
-    t = tps_making_state_product(w, 2, 3, orthonormal=True)
+    t = tps_making_state_product(w, 2, 3)
     assert is_inner_product_compatible(t)
     assert is_product(w, t)
 
@@ -71,7 +69,7 @@ def test_state_entangle_maker_orthonormal():
     rng = np.random.default_rng(54)
     w = random_state(rng, 4)
     w /= np.linalg.norm(w)
-    t = tps_making_state_entangled(w, 2, 2, orthonormal=True)
+    t = tps_making_state_entangled(w, 2, 2)
     assert is_inner_product_compatible(t)
     assert schmidt(w, t).rank == 2
 
@@ -80,8 +78,7 @@ def test_single_coordinate_state_edge_cases():
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
     assert is_product(e0, tps_making_state_product(e0, 2, 2))
-    assert schmidt(e0, tps_making_state_entangled(e0, 2, 2)).rank == 2
-    t = tps_making_state_entangled(e0, 2, 2, orthonormal=True)
+    t = tps_making_state_entangled(e0, 2, 2)
     assert schmidt(e0, t).rank == 2 and is_inner_product_compatible(t)
 
 
@@ -118,8 +115,8 @@ def test_zero_state_rejected():
 
 
 def test_refactor_verdicts_ignore_tiny_and_huge_scales():
-    # only the exactly zero state is refused; the orthonormal constructions
-    # see the direction of w alone
+    # only the exactly zero state is refused; the constructions see the
+    # direction of w alone
     rng = np.random.default_rng(58)
     for k, l in ((2, 2), (2, 3), (3, 3)):
         product = np.kron(random_state(rng, k), random_state(rng, l))
@@ -139,10 +136,8 @@ def test_states_whose_norm_underflows_or_overflows_are_refactored():
         assert schmidt(v, god_given(2, 2)).rank == 2, alpha
         tp, te = dual_verdict(v, 2, 2)
         assert is_product(v, tp) and schmidt(v, te).rank == 2, alpha
-        for orthonormal in (False, True):
-            assert is_product(v, tps_making_state_product(v, 2, 2, orthonormal)), alpha
-            t = tps_making_state_entangled(v, 2, 2, orthonormal)
-            assert schmidt(v, t).rank == 2, alpha
+        assert is_product(v, tps_making_state_product(v, 2, 2)), alpha
+        assert schmidt(v, tps_making_state_entangled(v, 2, 2)).rank == 2, alpha
 
 
 def test_zero_state_reports_a_bad_shape_first():
@@ -157,9 +152,9 @@ def test_zero_state_reports_a_bad_shape_first():
 
 
 def test_non_orthonormal_verdicts_survive_rescaling():
-    # the basis holds w/||w|| and completing coordinate vectors that depend
-    # on its direction only, so rescaled and coordinate-aligned states still
-    # get a well-conditioned basis
+    # the basis is a unitary completion of w/||w||, which depends on its
+    # direction only, so rescaled and coordinate-aligned states get the
+    # verdicts of w
     rng = np.random.default_rng(56)
     for k, l in ((2, 2), (2, 3), (3, 3)):
         n = k * l
@@ -169,33 +164,6 @@ def test_non_orthonormal_verdicts_survive_rescaling():
                   aligned):
             assert schmidt(v, tps_making_state_product(v, k, l)).rank == 1
             assert schmidt(v, tps_making_state_entangled(v, k, l)).rank == 2
-
-
-def test_completion_leaves_out_the_pivot_coordinates():
-    eye = np.eye(4)
-    # largest entries tie at coordinates 1 and 2: the pivot takes the
-    # higher one, and the rest are appended in index order
-    w = np.array([0.5, 2, -2j, 1])
-    for v in (w, 1e-9 * w, 1e9 * w):
-        assert np.array_equal(tps_making_state_product(v, 2, 2).basis[:, 1:],
-                              eye[:, [0, 1, 3]])
-    # the entangling structure re-pairs the product structure's first three
-    # cells: its cell (0, 0) is the product's cell (1, 0), here e_2 (the
-    # pivot of [1, 3, 1, 2] is coordinate 1), and cell (1, 1) is unchanged
-    basis = tps_making_state_entangled(np.array([1, 3, 1, 2]), 2, 2).basis
-    assert np.array_equal(basis[:, [0, 3]], eye[:, [2, 3]])
-
-
-def test_completion_matches_the_greedy_oracle():
-    rng = np.random.default_rng(57)
-    for n in (4, 9, 16, 36, 64):
-        for _ in range(5):
-            w = random_state(rng, n)
-            col = (w / np.linalg.norm(w)).reshape(n, 1)
-            basis = tpskit.refactor._complete_column(col)
-            assert np.array_equal(basis[:, :1], col)
-            assert np.array_equal(basis[:, 1:],
-                                  np.eye(n)[:, greedy_completion(col, n)])
 
 
 def test_entangled_structure_re_pairs_the_product_structure():
@@ -210,17 +178,39 @@ def test_entangled_structure_re_pairs_the_product_structure():
         for w in (e0, tie, random_state(rng, n)):
             for alpha in (1e-300, 1.0, 1e300):
                 v = alpha * w
-                for orthonormal in (False, True):
-                    case = (k, l, alpha, orthonormal)
-                    tp = tps_making_state_product(v, k, l, orthonormal)
-                    te = tps_making_state_entangled(v, k, l, orthonormal)
-                    rep = schmidt(v, te)
-                    assert rep.rank == 2, case
-                    # the ratio, since ||v|| overflows at the largest scale
-                    c = rep.coefficients
-                    assert abs(c[1] / c[0] - 1) <= 1e-12, case
-                    assert not orthonormal or is_inner_product_compatible(te), case
-                    assert np.array_equal(te.basis[:, kept], tp.basis[:, kept]), case
+                tp = tps_making_state_product(v, k, l)
+                te = tps_making_state_entangled(v, k, l)
+                case = (k, l, alpha)
+                assert np.array_equal(te.basis[:, kept], tp.basis[:, kept]), case
+                c0, c1 = tp.basis[:, 0], tp.basis[:, 1]
+                assert np.array_equal(te.basis[:, 0], tp.basis[:, l]), case
+                assert np.array_equal(te.basis[:, 1], (c0 + c1) / np.sqrt(2.0)), case
+                assert np.array_equal(te.basis[:, l], (c0 - c1) / np.sqrt(2.0)), case
+
+
+def test_state_bases_are_unitary_completions_of_the_state():
+    rng = np.random.default_rng(63)
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 6), (8, 8)):
+        n = k * l
+        tie = np.zeros(n, dtype=complex)
+        tie[:3] = [0.5, 2, -2j]
+        # e1 has w_0 = 0: the reflector then uses the phase 1
+        for w in (np.eye(n)[0], np.eye(n)[1], tie, random_state(rng, n)):
+            for alpha in (1e-300, 1.0, 1e300):
+                v = alpha * w
+                case = (k, l, alpha)
+                c = tpskit.refactor._rescaled(as_vector(v))
+                tp = tps_making_state_product(v, k, l)
+                te = tps_making_state_entangled(v, k, l)
+                assert np.array_equal(tp.basis[:, 0], c / np.linalg.norm(c)), case
+                assert is_inner_product_compatible(tp), case
+                assert is_inner_product_compatible(te), case
+                assert schmidt(v, tp).rank == 1, case
+                rep = schmidt(v, te)
+                assert rep.rank == 2, case
+                # the ratio, since ||v|| overflows at the largest scale
+                coef = rep.coefficients
+                assert abs(coef[1] / coef[0] - 1) <= 1e-12, case
 
 
 @pytest.mark.parametrize("w, k, l, product, entangled, dual", [
@@ -236,9 +226,7 @@ def test_entangled_structure_re_pairs_the_product_structure():
 ])
 def test_makers_refuse_bad_input_in_order(w, k, l, product, entangled, dual):
     calls = [(product, lambda: tps_making_state_product(w, k, l)),
-             (product, lambda: tps_making_state_product(w, k, l, True)),
              (entangled, lambda: tps_making_state_entangled(w, k, l)),
-             (entangled, lambda: tps_making_state_entangled(w, k, l, True)),
              (dual, lambda: dual_verdict(w, k, l))]
     for error, call in calls:
         if error is None:
@@ -249,7 +237,7 @@ def test_makers_refuse_bad_input_in_order(w, k, l, product, entangled, dual):
 
 
 def test_dual_verdict_completes_the_state_once(monkeypatch):
-    calls = count_calls(monkeypatch, tpskit.refactor, "complete_orthonormal")
+    calls = count_calls(monkeypatch, tpskit.refactor, "_unitary_basis")
     w = random_state(np.random.default_rng(60), 12)
     tp, te = dual_verdict(w, 3, 4)
     assert len(calls) == 1
@@ -266,38 +254,21 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("maker, orthonormal, svds", [
-    (tps_making_state_product, False, 0),
-    (tps_making_state_entangled, False, 0),
-    (tps_making_state_product, True, 1),
-    (tps_making_state_entangled, True, 1),
-    (dual_verdict, None, 1),
-])
-def test_makers_run_no_rank_test_svd(monkeypatch, maker, orthonormal, svds):
-    # the SVDs left are those of `complete_orthonormal`
+@pytest.mark.parametrize("maker", [
+    tps_making_state_product, tps_making_state_entangled, dual_verdict])
+def test_makers_run_no_rank_test_svd(monkeypatch, maker):
     w = random_state(np.random.default_rng(61), 12)
     calls = count_calls(monkeypatch, np.linalg, "svd")
-    if orthonormal is None:
-        grids = maker(w, 3, 4)
-    else:
-        grids = (maker(w, 3, 4, orthonormal),)
-    assert len(calls) == svds
-    for t in grids:
+    grids = maker(w, 3, 4)
+    assert len(calls) == 0
+    for t in grids if maker is dual_verdict else (grids,):
         assert np.array_equal(t.singular_values,
                               np.linalg.svd(t.basis, compute_uv=False))
 
 
-def _verdict(build):
-    try:
-        build()
-    except SingularBasis:
-        return False
-    return True
-
-
 def test_maker_rank_verdicts_match_tps_new():
+    # every maker basis is unitary, so `tps_new` accepts it at any rank_rel
     rng = np.random.default_rng(62)
-    verdicts = set()
     for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 6), (8, 8)):
         n = k * l
         tie = np.zeros(n, dtype=complex)
@@ -305,21 +276,11 @@ def test_maker_rank_verdicts_match_tps_new():
         for w in (np.eye(n)[0], tie, random_state(rng, n)):
             for alpha in (1e-300, 1.0, 1e300):
                 v = alpha * w
-                for orthonormal in (False, True):
-                    # the bases do not depend on the tolerance
-                    bp = tps_making_state_product(v, k, l, orthonormal).basis
-                    be = tps_making_state_entangled(v, k, l, orthonormal).basis
-                    for rank_rel in (1e-10, 0.05, 0.2, 0.45):
-                        tol = Tolerance(rank_rel=rank_rel)
-                        case = (k, l, alpha, orthonormal, rank_rel)
-                        want = _verdict(lambda: tps_new(k, l, bp, tol))
-                        assert _verdict(lambda: tps_making_state_product(
-                            v, k, l, orthonormal, tol)) == want, case
-                        assert _verdict(lambda: tps_new(k, l, be, tol)) == want, case
-                        assert _verdict(lambda: tps_making_state_entangled(
-                            v, k, l, orthonormal, tol)) == want, case
-                        if orthonormal:
-                            assert _verdict(lambda: dual_verdict(v, k, l, tol)) == want
-                        verdicts.add((orthonormal, want))
-    # unitary bases always pass; the pivot completion passes and fails
-    assert verdicts == {(True, True), (False, True), (False, False)}
+                tp, te = dual_verdict(v, k, l)
+                bases = (tp.basis, te.basis,
+                         tps_making_state_product(v, k, l).basis,
+                         tps_making_state_entangled(v, k, l).basis)
+                for rank_rel in (1e-10, 0.05, 0.2, 0.45):
+                    tol = Tolerance(rank_rel=rank_rel)
+                    for b in bases:
+                        tps_new(k, l, b, tol)
