@@ -42,6 +42,7 @@ from .tps import (
     SchmidtReport,
     Tps,
     coefficient_matrix,
+    coefficient_schmidt,
     god_given,
     is_inner_product_compatible,
     is_product,

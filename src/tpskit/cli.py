@@ -30,8 +30,8 @@ from .serialize import (
     vector_from_json,
 )
 from .tps import (
-    _schmidt_of,
     coefficient_matrix,
+    coefficient_schmidt,
     is_inner_product_compatible,
     is_product,
     schmidt,
@@ -92,7 +92,7 @@ def _cmd_analyze(args, tol: Tolerance) -> int:
         c = coefficient_matrix(w, t)
     except ValueError as e:  # the solve overflows
         raise InputError(str(e))
-    report = _schmidt_of(c, tol)
+    report = coefficient_schmidt(c, tol)
     roundtrip = t.basis @ c.reshape(-1)
     _emit({
         "schmidt": schmidt_to_json(report),

@@ -62,7 +62,9 @@ def _unitary_basis(w: np.ndarray) -> np.ndarray:
     c = _rescaled(w)
     c /= np.linalg.norm(c)
     u = c.copy()
-    u[0] += c[0] / abs(c[0]) if c[0] else 1.0
+    # by its angle, not c_0/|c_0|: that quotient overflows or loses |phi| = 1
+    # for a subnormal c_0, and angle(0) = 0 gives phi = 1
+    u[0] += np.exp(1j * np.angle(c[0]))
     h = np.outer(u * (-2 / np.vdot(u, u).real), u.conj())
     h.flat[::c.size + 1] += 1
     h[:, 0] = c

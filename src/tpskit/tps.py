@@ -105,11 +105,12 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     its nonzero singular values, and ``sum_m sigma_m * outer(u_m, v_m)``
     reconstructs the coefficient matrix.
     """
-    return _schmidt_of(coefficient_matrix(w, t), tol)
+    return coefficient_schmidt(coefficient_matrix(w, t), tol)
 
 
-def _schmidt_of(c: np.ndarray, tol: Tolerance) -> SchmidtReport:
-    """Schmidt data of a finite coefficient matrix."""
+def coefficient_schmidt(c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
+    """Schmidt data of a finite coefficient matrix, such as the one
+    `coefficient_matrix` returns."""
     try:
         u, s, vh = np.linalg.svd(c, full_matrices=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover

@@ -188,31 +188,6 @@ def test_entangled_structure_re_pairs_the_product_structure():
                 assert np.array_equal(te.basis[:, l], (c0 - c1) / np.sqrt(2.0)), case
 
 
-def test_state_bases_are_unitary_completions_of_the_state():
-    rng = np.random.default_rng(63)
-    for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 6), (8, 8)):
-        n = k * l
-        tie = np.zeros(n, dtype=complex)
-        tie[:3] = [0.5, 2, -2j]
-        # e1 has w_0 = 0: the reflector then uses the phase 1
-        for w in (np.eye(n)[0], np.eye(n)[1], tie, random_state(rng, n)):
-            for alpha in (1e-300, 1.0, 1e300):
-                v = alpha * w
-                case = (k, l, alpha)
-                c = tpskit.refactor._rescaled(as_vector(v))
-                tp = tps_making_state_product(v, k, l)
-                te = tps_making_state_entangled(v, k, l)
-                assert np.array_equal(tp.basis[:, 0], c / np.linalg.norm(c)), case
-                assert is_inner_product_compatible(tp), case
-                assert is_inner_product_compatible(te), case
-                assert schmidt(v, tp).rank == 1, case
-                rep = schmidt(v, te)
-                assert rep.rank == 2, case
-                # the ratio, since ||v|| overflows at the largest scale
-                coef = rep.coefficients
-                assert abs(coef[1] / coef[0] - 1) <= 1e-12, case
-
-
 @pytest.mark.parametrize("w, k, l, product, entangled, dual", [
     (np.zeros(4), 2, 2, ZeroState, ZeroState, ZeroState),
     (np.zeros(4), 1, 4, ZeroState, ShapeTooSmall, ZeroState),
@@ -267,20 +242,40 @@ def test_makers_run_no_rank_test_svd(monkeypatch, maker):
 
 
 def test_maker_rank_verdicts_match_tps_new():
-    # every maker basis is unitary, so `tps_new` accepts it at any rank_rel
+    # every maker basis is a unitary completion of the rescaled w/||w||, so
+    # `tps_new` accepts it at any rank_rel
     rng = np.random.default_rng(62)
     for k, l in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (5, 6), (8, 8)):
         n = k * l
         tie = np.zeros(n, dtype=complex)
         tie[:3] = [0.5, 2, -2j]
-        for w in (np.eye(n)[0], tie, random_state(rng, n)):
+        # w_0 = 0 (e1) takes the phase 1; a subnormal w_0 keeps |phi| = 1
+        subnormal = np.ones(n, dtype=complex)
+        subnormal[0] = 1e-310
+        subnormal_complex = np.ones(n, dtype=complex)
+        subnormal_complex[0] = 1e-320 * (1 + 1j)
+        states = (np.eye(n)[0], np.eye(n)[1], tie, random_state(rng, n),
+                  subnormal, subnormal_complex)
+        for w in states:
             for alpha in (1e-300, 1.0, 1e300):
                 v = alpha * w
+                case = (k, l, alpha, w[0])
+                c = tpskit.refactor._rescaled(as_vector(v))
                 tp, te = dual_verdict(v, k, l)
-                bases = (tp.basis, te.basis,
-                         tps_making_state_product(v, k, l).basis,
-                         tps_making_state_entangled(v, k, l).basis)
+                assert np.array_equal(tps_making_state_product(v, k, l).basis,
+                                      tp.basis), case
+                assert np.array_equal(tps_making_state_entangled(v, k, l).basis,
+                                      te.basis), case
+                assert np.array_equal(tp.basis[:, 0], c / np.linalg.norm(c)), case
+                assert is_inner_product_compatible(tp), case
+                assert is_inner_product_compatible(te), case
+                assert schmidt(v, tp).rank == 1, case
+                rep = schmidt(v, te)
+                assert rep.rank == 2, case
+                # the ratio, since ||v|| overflows at the largest scale
+                coef = rep.coefficients
+                assert abs(coef[1] / coef[0] - 1) <= 1e-12, case
                 for rank_rel in (1e-10, 0.05, 0.2, 0.45):
                     tol = Tolerance(rank_rel=rank_rel)
-                    for b in bases:
-                        tps_new(k, l, b, tol)
+                    for t in (tp, te):
+                        tps_new(k, l, t.basis, tol)

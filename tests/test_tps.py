@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tpskit import (
     coefficient_matrix,
+    coefficient_schmidt,
     god_given,
     is_inner_product_compatible,
     is_product,
@@ -106,6 +107,10 @@ def test_schmidt_reconstructs_coefficient_matrix():
     rep = schmidt(w, t)
     assert np.all(np.diff(rep.coefficients) <= 0)
     c = coefficient_matrix(w, t)
+    # schmidt is coefficient_matrix followed by coefficient_schmidt
+    split = coefficient_schmidt(c)
+    assert split.rank == rep.rank
+    assert np.array_equal(split.coefficients, rep.coefficients)
     rebuilt = sum(rep.coefficients[i]
                   * np.outer(rep.left_vectors[:, i], rep.right_vectors[:, i])
                   for i in range(rep.rank))
