@@ -273,7 +273,7 @@ def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     """
     n, k, l = t.dim, t.k, t.l
     b = t.basis.reshape(n, k, l)
-    binv = np.linalg.inv(t.basis).reshape(k, l, n)
+    binv = t.inverse.reshape(k, l, n)
     # B (E_ab ox 1) B^-1 = B[:, a, :] @ B^-1[b], B (1 ox E_cd) B^-1 likewise
     spans = [(b.transpose(1, 0, 2)[:, None] @ binv).reshape(-1, n, n),
              (b.transpose(2, 0, 1)[:, None] @ binv.transpose(1, 0, 2)).reshape(-1, n, n)]

@@ -25,6 +25,11 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: true and false are ints to Python, not to JSON."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict):
         raise InputError(f"field '{field}' must be an object")
@@ -32,7 +37,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise InputError(f"field '{field}.{key}' is missing")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0):
+    if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
         raise InputError(f"field '{field}.rows/cols' must be nonnegative integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -64,9 +69,9 @@ def tps_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> Tps:
             raise InputError(f"field '{key}' is missing from the tps record")
     basis = matrix_from_json(obj["basis"], "basis")
     k, l = obj["k"], obj["l"]
-    if not (isinstance(k, int) and isinstance(l, int)):
+    if not (_is_int(k) and _is_int(l)):
         raise InputError("fields 'k' and 'l' must be integers")
-    if "dim" in obj and obj["dim"] != k * l:
+    if "dim" in obj and not (_is_int(obj["dim"]) and obj["dim"] == k * l):
         raise InputError("field 'dim' disagrees with k*l")
     return tps_new(k, l, basis, tol)
 
@@ -104,16 +109,16 @@ def algebra_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
         if key not in obj:
             raise InputError(f"field '{key}' is missing from the algebra record")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not (_is_int(n) and n >= 1):
         raise InputError("field 'n' must be a positive integer")
     span = obj["span"]
     if not isinstance(span, list) or not span:
         raise InputError("field 'span' must be a nonempty list of matrices")
-    mats = np.array([matrix_from_json(m, f"span[{idx}]")
-                     for idx, m in enumerate(span)])
-    if mats.shape[1:] != (n, n):
-        raise InputError("field 'span' matrices must all be n x n")
-    return _from_closed_span(mats, n, tol)
+    mats = [matrix_from_json(m, f"span[{idx}]") for idx, m in enumerate(span)]
+    for idx, m in enumerate(mats):
+        if m.shape != (n, n):
+            raise InputError(f"field 'span[{idx}]' must be n x n, n = {n}")
+    return _from_closed_span(np.array(mats), n, tol)
 
 
 def vector_from_json(obj, field: str = "state") -> np.ndarray:

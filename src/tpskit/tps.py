@@ -19,13 +19,14 @@ from .errors import ConvergenceFailure, DimensionMismatch, SingularBasis, ZeroSt
 @dataclass(frozen=True, eq=False)
 class Tps:
     """A k-by-l grid structure.  basis is a private read-only copy, so the
-    singular values kept with it cannot go stale."""
+    singular values and the inverse kept with it cannot go stale."""
 
     dim: int
     k: int
     l: int
     basis: np.ndarray  # n x n, column j*l+i = grid vector (j, i)
     _singular_values: np.ndarray | None = field(default=None, init=False, repr=False)
+    _inverse: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         basis = np.array(self.basis, dtype=np.complex128)
@@ -48,6 +49,17 @@ class Tps:
             s.flags.writeable = False
             object.__setattr__(self, "_singular_values", s)
         return s
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """B^-1 for the basis B, read-only; computed once, on first use, and
+        shared by every coefficient solve on this grid (see `_solve`)."""
+        x = self._inverse
+        if x is None:
+            x = np.linalg.inv(self.basis)
+            x.flags.writeable = False
+            object.__setattr__(self, "_inverse", x)
+        return x
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,13 +101,25 @@ def god_given(k: int, l: int) -> Tps:
     return Tps(dim=n, k=k, l=l, basis=np.eye(n, dtype=np.complex128))
 
 
-def coefficient_matrix(w, t: Tps) -> np.ndarray:
-    """k-by-l matrix C with ``t.basis @ vec(C) = w`` (vec in j*l+i order).
-    Raises ValueError when w is not finite or the solve overflows."""
-    c = np.linalg.solve(t.basis, as_vector(w, n=t.dim))
-    if not np.isfinite(c).all():
+def _solve(t: Tps, rhs: np.ndarray) -> np.ndarray:
+    """B^-1 rhs from the kept inverse X: x = X rhs, refined once to
+    x + X (rhs - B x), so each solve is three O(n^2) products per column.
+    The refinement step brings the error of the plain product X rhs back
+    to that of an LU solve.  Raises ValueError when the result overflows."""
+    x_inv = t.inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x_inv @ rhs
+        x += x_inv @ (rhs - t.basis @ x)
+    if not np.isfinite(x).all():
         raise ValueError("coefficients overflow: the solve is not finite")
-    return c.reshape(t.k, t.l)
+    return x
+
+
+def coefficient_matrix(w, t: Tps) -> np.ndarray:
+    """k-by-l matrix C with ``t.basis @ vec(C) = w`` (vec in j*l+i order),
+    one refined product with the grid's kept inverse (`Tps.inverse`).
+    Raises ValueError when w is not finite or the solve overflows."""
+    return _solve(t, as_vector(w, n=t.dim)).reshape(t.k, t.l)
 
 
 def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
@@ -156,7 +180,7 @@ def tps_equivalent(t1: Tps, t2: Tps, tol: Tolerance = DEFAULT_TOL) -> Equivalenc
     floor = max(tol.rank_rel, t1.dim * eps * s1[0] / s1[-1])
     for swapped, t in ((False, t2), (True, swap_factors(t2))):
         if t.shape == t1.shape:
-            m = np.linalg.solve(t1.basis, t.basis).reshape(k, l, k, l)
+            m = _solve(t1, t.basis).reshape(k, l, k, l)
             s = np.linalg.svd(m.transpose(0, 2, 1, 3).reshape(k * k, l * l),
                               compute_uv=False)
             if s.size == 1 or s[1] <= floor * s[0]:

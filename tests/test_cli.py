@@ -12,7 +12,7 @@ import numpy as np
 from tpskit.cli import build_parser, cli_main
 from tpskit.examples import bell_states, rotation_x_pi, total_sz_squared
 from tpskit.serialize import matrix_to_json, observable_pair_to_json, tps_to_json
-from tpskit import god_given, observable_pair, tps_new
+from tpskit import coefficient_matrix, god_given, observable_pair, tps_new
 from tpskit.algebra import tps_to_tpp
 from tpskit.serialize import algebra_to_json
 
@@ -64,12 +64,13 @@ def test_analyze_solves_once(tmp_path, monkeypatch):
     b, w = random_invertible(rng, 6), rng.normal(size=6) + 1j * rng.normal(size=6)
     state = state_file(tmp_path, "state.json", w)
     tps = write_json(tmp_path / "tps.json", tps_to_json(tps_new(2, 3, b)))
-    calls = count_calls(monkeypatch, np.linalg, "solve")
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
     code, out, _ = run_cli(["analyze", "--state", state, "--tps", tps])
-    assert code == 0 and len(calls) == 1
-    # the residual of that one solve is the one a second solve gave
-    basis, v = calls[0]
-    want = np.linalg.norm(basis @ np.linalg.solve(basis, v) - v)
+    assert code == 0 and len(inverses) == 1 and len(solves) == 0
+    # the residual is that of the coefficients a fresh grid gives
+    t = tps_new(2, 3, b)
+    want = np.linalg.norm(t.basis @ coefficient_matrix(w, t).reshape(-1) - w)
     assert json.loads(out)["residuals"]["coefficient_solve"] == float(want)
 
 
@@ -129,6 +130,28 @@ def test_input_errors_exit_2(tmp_path):
     tps = write_json(tmp_path / "tps.json", tps_to_json(god_given(2, 2)))
     code, _, err = run_cli(["analyze", "--state", str(bad), "--tps", tps])
     assert code == 2 and "malformed" in err
+
+
+def test_verify_tpp_span_of_unequal_shapes_exits_2(tmp_path):
+    a2 = write_json(tmp_path / "a2.json", algebra_to_json(tps_to_tpp(god_given(2, 2))[1]))
+    mixed = {"n": 2, "span": [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))]}
+    a1 = write_json(tmp_path / "a1.json", mixed)
+    code, out, err = run_cli(["verify-tpp", "--a1", a1, "--a2", a2])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("InputError: ") and "span[1]" in err
+
+
+def test_boolean_integer_fields_exit_2(tmp_path):
+    # JSON true is not the integer 1
+    state = matrix_to_json(np.ones((4, 1)))
+    tps = tps_to_json(god_given(2, 2))
+    for bad_state, bad_tps in ((dict(state, cols=True), tps),
+                               (state, dict(tps, k=True, l=4))):
+        code, out, err = run_cli(["analyze",
+                                  "--state", write_json(tmp_path / "s.json", bad_state),
+                                  "--tps", write_json(tmp_path / "t.json", bad_tps)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("InputError: ")
 
 
 def test_bad_tol_and_shape_exit_2(tmp_path):

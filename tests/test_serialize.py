@@ -84,6 +84,21 @@ def test_tps_from_json_validation():
         tps_from_json(bad)
 
 
+def test_booleans_are_not_integers():
+    # each record below is accepted with 1 in place of true
+    one = matrix_to_json(np.eye(1))
+    grid = {"dim": 4, "k": 2, "l": 2, "basis": matrix_to_json(np.eye(4))}
+    bad = [(matrix_from_json, dict(one, rows=True)),
+           (matrix_from_json, dict(one, cols=True)),
+           (tps_from_json, dict(grid, k=True, l=4)),
+           (tps_from_json, dict(grid, k=4, l=True)),
+           (tps_from_json, {"dim": True, "k": 1, "l": 1, "basis": one}),
+           (algebra_from_json, {"n": True, "span": [one]})]
+    for parse, obj in bad:
+        with pytest.raises(InputError):
+            parse(_through_json(obj))
+
+
 def test_algebra_from_json_validation():
     with pytest.raises(InputError):
         algebra_from_json({"n": 2})

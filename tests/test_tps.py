@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from tpskit.tps import Tps
 
 import oracles
 from util import (
+    count_calls,
     forbid_algebra,
     near_unitary,
     random_invertible,
@@ -315,10 +317,11 @@ def test_kept_singular_values_are_a_read_only_svd_of_the_basis():
     u = tps_new(2, 3, random_unitary(rng, 6))
     witness = tpp_to_tps(*tps_to_tpp(u))
     for grid in (t, u, swap_factors(t), god_given(2, 3), witness):
-        s = grid.singular_values
+        s, x = grid.singular_values, grid.inverse
         assert np.array_equal(s, np.linalg.svd(grid.basis, compute_uv=False))
-        assert grid.singular_values is s
-        for a in (grid.basis, s):
+        assert np.array_equal(x, np.linalg.inv(grid.basis))
+        assert grid.singular_values is s and grid.inverse is x
+        for a in (grid.basis, s, x):
             with pytest.raises(ValueError):
                 a[0] = 0
     # the basis is a private copy, so the kept values cannot go stale
@@ -326,11 +329,49 @@ def test_kept_singular_values_are_a_read_only_svd_of_the_basis():
     assert t.basis[0, 0] != 5
     assert np.array_equal(t.singular_values,
                           np.linalg.svd(t.basis, compute_uv=False))
+    assert np.array_equal(t.inverse, np.linalg.inv(t.basis))
     # nor can they be passed in or carried over to another basis
     with pytest.raises(TypeError):
         Tps(dim=6, k=2, l=3, basis=b, _singular_values=t.singular_values)
+    with pytest.raises(TypeError):
+        Tps(dim=6, k=2, l=3, basis=b, _inverse=t.inverse)
     other = dataclasses.replace(t, basis=b)
     assert np.array_equal(other.singular_values, np.linalg.svd(b, compute_uv=False))
+    assert np.array_equal(other.inverse, np.linalg.inv(b))
+    # a pickled copy recomputes them from its own basis
+    twin = pickle.loads(pickle.dumps(t))
+    assert twin._singular_values is None and twin._inverse is None
+    assert np.array_equal(twin.inverse, t.inverse) and twin.inverse is not t.inverse
+
+
+def test_one_inverse_per_grid(monkeypatch):
+    # the certificate, six Schmidt solves and the equivalence test all
+    # share the grid's one kept inverse; no LU solve is left
+    rng = np.random.default_rng(29)
+    t = tps_new(2, 3, random_unitary(rng, 6))
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    solves = count_calls(monkeypatch, np.linalg, "solve")
+    witness = tpp_to_tps(*tps_to_tpp(t))
+    for _ in range(6):
+        schmidt(random_state(rng, 6), t)
+    assert tps_equivalent(t, witness).equivalent
+    assert len(inverses) == 1 and len(solves) == 0
+
+
+def test_true_ranks_at_cond_1e6():
+    # B = U diag(1 .. 1e-6) V: the plain product B^-1 w misjudges 1-2%
+    # of these states, as its error is not backward stable; one refinement
+    # step brings it to the accuracy of an LU solve, which misjudges none
+    rng = np.random.default_rng(31)
+    for k, l in ((2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6)):
+        n = k * l
+        for _ in range(100):
+            b = (random_unitary(rng, n) * np.logspace(0, -6, n)) @ random_unitary(rng, n)
+            t = tps_new(k, l, b)
+            for rank in (1, 2):
+                c = sum(np.outer(random_state(rng, k), random_state(rng, l))
+                        for _ in range(rank))
+                assert schmidt(b @ c.reshape(-1), t).rank == rank, (k, l, rank)
 
 
 def test_compatibility_agrees_with_the_gram_test():
