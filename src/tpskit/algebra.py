@@ -29,7 +29,6 @@ from .core import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    eigenspaces,
     grid_from_fibers,
     intertwiners,
     numeric_rank,
@@ -38,7 +37,6 @@ from .core import (
 from .errors import (
     DimensionMismatch,
     GenericElementFailure,
-    MultiplicityViolation,
     NonUnital,
     NotATpp,
 )
@@ -334,23 +332,6 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
     return TppVerdict(is_tpp=all(checks.values()), k=k, l=l, checks=checks)
 
 
-def _draw_eigenspaces(a: OperatorAlgebra, groups: int, frame: np.ndarray,
-                      rng: np.random.Generator, tol: Tolerance):
-    """Eigenspaces, as columns of `frame`, of a generic Hermitian element of
-    the algebra compressed to the orthonormal columns of `frame`: the blocks
-    `frame @ vecs` of its `groups` equal-sized eigenvalue clusters, in
-    ascending order (see `core.eigenspaces`); None after 16 draws."""
-    for _ in range(16):
-        h = _draw_generic_hermitian(a, rng)
-        try:
-            _, spaces = eigenspaces(frame.conj().T @ h @ frame, True, tol)
-        except MultiplicityViolation:
-            continue
-        if len(spaces) == groups:
-            return [frame @ s for s in spaces]
-    return None
-
-
 def _induces(t: Tps, a1: OperatorAlgebra, a2: OperatorAlgebra,
              tol: Tolerance) -> bool:
     """Whether the grid basis U of t is unitary and induces exactly (a1, a2):
@@ -377,13 +358,15 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> Tps | None:
     """A grid basis inducing exactly the pair (a1, a2), or None.
 
-    The eigenspaces of a generic Hermitian t in a2 are the l fibers; the
-    eigenvectors of a generic Hermitian r in a1, compressed to the first
-    fiber, are its k cells.  One generic element of a2 carries that fiber
-    into every other one (`grid_from_fibers` lays them out); when it misses
-    a fiber, the transport is drawn again.  The result is a witness only if
-    it is unitary and induces exactly a1 and a2 (`_induces`); it then
-    implies all six checks of `_diagnose`, adjoint closure included.
+    The eigenvectors of a generic Hermitian t in a2, in eigh's ascending
+    order, are the l fibers as consecutive blocks of k columns, one block per
+    k-fold eigenvalue; the eigenvectors of a generic Hermitian r in a1,
+    compressed to the first fiber, are its k cells.  One generic element of
+    a2 carries that fiber into every other one (`grid_from_fibers` lays them
+    out); when it misses a fiber, the transport is drawn again.  The result
+    is a witness only if it is unitary and induces exactly a1 and a2
+    (`_induces`), the one gate: a pair that is not a factor pair fails it,
+    and it implies all six checks of `_diagnose`, adjoint closure included.
     """
     if a1.dim_space != a2.dim_space:
         raise DimensionMismatch("algebras act on different spaces")
@@ -393,26 +376,25 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     if dims is None:
         return None
     k, l = dims
+    n = a1.dim_space
     rng = np.random.default_rng(seed)
-    fibers = _draw_eigenspaces(a2, l, np.eye(a1.dim_space), rng, tol)
-    if fibers is None:
-        return None
-    cells = _draw_eigenspaces(a1, k, fibers[0], rng, tol)
-    if cells is None:
-        return None
-    fiber0 = phase_fix(np.column_stack([c[:, 0] for c in cells]))
+    vecs = np.linalg.eigh(_draw_generic_hermitian(a2, rng))[1]
+    fibers = vecs.reshape(n, l, k).transpose(1, 0, 2)
+    r = _draw_generic_hermitian(a1, rng)
+    f0 = fibers[0]
+    fiber0 = phase_fix(f0 @ np.linalg.eigh(f0.conj().T @ r @ f0)[1])
 
     for _ in range(16):
         b = _draw_generic_hermitian(a2, rng)
         moved = b @ fiber0
         transported = [p @ (p.conj().T @ moved) for p in fibers[1:]]
-        floor = 1e-6 * max(np.linalg.norm(b), 1.0)
+        floor = 1e-6 * np.linalg.norm(b)
         if all(np.linalg.norm(x[:, 0]) > floor for x in transported):
             break
     else:
         return None
 
-    out = Tps(dim=a1.dim_space, k=k, l=l,
+    out = Tps(dim=n, k=k, l=l,
               basis=grid_from_fibers([fiber0] + transported, axis=2))
     return out if _induces(out, a1, a2, tol) else None
 

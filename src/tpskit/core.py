@@ -30,8 +30,9 @@ class Tolerance:
     residual: float = 1e-10
 
     def __post_init__(self):
-        if not (self.eig_cluster > 0 and self.rank_rel > 0 and self.residual > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not (0 < self.eig_cluster < np.inf and 0 < self.rank_rel
+                and 0 < self.residual < np.inf):
+            raise ValueError("tolerances must be strictly positive and finite")
         if not self.rank_rel < 1:
             raise ValueError("rank_rel must be < 1")
 

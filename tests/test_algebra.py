@@ -417,6 +417,28 @@ def test_every_seed_draws_an_equivalent_unitary_witness():
             assert tps_equivalent(witnesses[0], w).equivalent
 
 
+def test_certification_does_not_read_eig_cluster():
+    # the fibers are blocks of eigh's ascending order, not eigenvalue clusters
+    rng = np.random.default_rng(51)
+    t = tps_new(2, 3, random_unitary(rng, 6))
+    for eig_cluster in (0.5, 10.0):
+        tol = Tolerance(eig_cluster=eig_cluster)
+        a1, a2 = tps_to_tpp(t, tol)
+        verdict = is_tpp(a1, a2, tol)
+        assert verdict.is_tpp and verdict.tps is not None, eig_cluster
+        assert tps_equivalent(t, tpp_to_tps(a1, a2, tol=tol)).equivalent
+
+
+def test_abelian_pair_fails_the_witness_after_two_eighs(monkeypatch):
+    corpus = {name: pair for name, pair, _ in _parity_corpus()}
+    a1, a2 = corpus["abelian"]
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    assert tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL) is None
+    assert len(calls) == 2  # the fibers, then the cells of the first fiber
+    failed = {check for check, ok in is_tpp(a1, a2).checks.items() if not ok}
+    assert failed == {"trivial_center", "join_full"}
+
+
 def test_contains_is_scale_invariant():
     a1, a2 = tps_to_tpp(god_given(2, 2))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

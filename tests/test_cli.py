@@ -163,6 +163,10 @@ def test_bad_tol_and_shape_exit_2(tmp_path):
     assert code == 2
     code, _, err = run_cli(["--tol", "foo=1", "example", "bell"])
     assert code == 2 and "foo" in err
+    # an infinite bound is refused like a non-positive one
+    for tol in ("res=inf", "eig=inf"):
+        code, _, err = run_cli(["--tol", tol, "example", "bell"])
+        assert code == 2 and "finite" in err, tol
 
 
 def test_example_degree_too_small_exits_2():

@@ -21,6 +21,9 @@ def test_tolerance_validation():
         Tolerance(eig_cluster=-1.0)
     with pytest.raises(ValueError):
         Tolerance(rank_rel=0.0)
+    for name in ("eig_cluster", "rank_rel", "residual"):
+        with pytest.raises(ValueError):
+            Tolerance(**{name: np.inf})
 
 
 def test_as_matrix_shape_and_finiteness():
