@@ -152,6 +152,8 @@ def _cmd_verify_tpp(args, tol: Tolerance) -> int:
 
 def _cmd_example(args, tol: Tolerance) -> int:
     if args.which == "bell":
+        if args.degree is not None:
+            raise InputError("example bell takes no --degree")
         _emit(example_bell(tol))
         return 0
     run = example_bargmann if args.which == "bargmann" else example_center_of_mass

@@ -161,11 +161,12 @@ def intertwiners(lefts, rights, cut: float) -> np.ndarray:
     the result has shape (dim, m, n).  With lefts = rights this is the joint
     commutant.  The null space is that of the Gram matrix of the stacked map
     vec_col(X) -> (kron(I, L) - kron(R^T, I)) vec_col(X), assembled termwise
-    as kron(I, sum L†L) + kron(sum (R R†)^T, I) - sum kron(R^T, L†)
-    - sum kron(conj(R), L); its eigenvalues are the squared singular values of
+    as kron(I, sum L†L) + kron(sum (R R†)^T, I) - C - C†, with
+    C = sum kron(R^T, L†); its eigenvalues are the squared singular values of
     the stacked system.  They carry eps * ||gram|| noise on exact zeros, so
     eigenvalues up to ``cut`` times max(top eigenvalue, 1) count as zero;
-    that floor assumes unit-scale inputs, which both callers give.
+    that floor assumes unit-scale inputs, which both callers give
+    (`algebra.commutant` and the complementarity oracle of the tests).
     """
     ls = np.asarray(lefts, dtype=np.complex128)
     rs = np.asarray(rights, dtype=np.complex128)
@@ -173,9 +174,8 @@ def intertwiners(lefts, rights, cut: float) -> np.ndarray:
     s1 = np.einsum("gji,gjk->ik", ls.conj(), ls)
     s2 = np.einsum("gij,gkj->ik", rs.conj(), rs)
     c1 = np.einsum("gji,glk->ikjl", rs, ls.conj()).reshape(n * m, n * m)
-    c2 = np.einsum("gij,gkl->ikjl", rs.conj(), ls).reshape(n * m, n * m)
     gram = (np.kron(np.eye(n, dtype=np.complex128), s1)
-            + np.kron(s2, np.eye(m, dtype=np.complex128)) - c1 - c2)
+            + np.kron(s2, np.eye(m, dtype=np.complex128)) - (c1 + c1.conj().T))
     evals, evecs = np.linalg.eigh(gram)
     null = evecs[:, evals <= cut * max(float(evals[-1]), 1.0)]
     return null.T.reshape(-1, n, m).transpose(0, 2, 1)

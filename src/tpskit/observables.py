@@ -2,12 +2,13 @@
 k-by-l grid, the TPS they induce, and complementary pairs that pin a factor
 pair down uniquely.
 
-Complementarity is two instances of one linear problem, solved by
-`core.intertwiners`: the joint commutant of the restricted pair on the first
-shared subspace is the scalars, and an invertible intertwiner maps the first
-fiber to each other one, so that holds on every subspace.  It means
-irreducibility only for a self-adjoint pair: the pairs of `complementary_pair`
-generate the reducible upper-triangular algebra on a fiber.
+Complementarity is decided in the first pair's grid cells: on each shared
+subspace its operator is diagonal with distinct eigenvalues, so the joint
+commutant on the first subspace and the intertwiners onto it are diagonal,
+one small null-space problem per subspace.  A scalar joint commutant means
+irreducibility only for a self-adjoint pair: the pairs of
+`complementary_pair` generate the reducible upper-triangular algebra on a
+fiber.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .core import (
     cluster_values,
     eigenspaces,
     grid_from_fibers,
-    intertwiners,
-    numeric_rank,
     phase_fix,
     singular_rank,
     subspace_residual,
@@ -237,49 +236,38 @@ def _restriction(op: np.ndarray, spaces: np.ndarray, tol: Tolerance):
     return sub
 
 
-def _trivial_joint_commutant(mats: list) -> bool:
-    return len(intertwiners(mats, mats, 1e-10)) == 1
+def _fiber_scales(op2: np.ndarray, spaces: np.ndarray, cells: np.ndarray,
+                  tol: Tolerance):
+    """One arm of the complementarity test, solved in the first pair's cells.
 
-
-def _intertwiner(pair_i: tuple, pair_0: tuple, tol: Tolerance):
-    """Invertible X with A_i X = X A_0 and B_i X = X B_0, or None.
-
-    One exists exactly when the pairs are isomorphic, and the solutions then
-    form one line: X0^-1 X commutes with pair_0, whose joint commutant is
-    the scalars.
+    spaces is the shared (m, n, c) family and cells the first pair's grid
+    cells on it, which diagonalize its operator with c distinct eigenvalues;
+    so the joint commutant and the intertwiners onto fiber 0 are diagonal,
+    scales d with beta_f[p, q] d_q = beta_0[p, q] d_p, where beta_f is op2
+    (scaled to unit norm) restricted to fiber f in its cells.  One batched
+    SVD solves all m fibers.  Returns the (m, c) scales, or None unless
+    fiber 0 has one singular value at most 1e-5 max(top, 1) (the joint
+    commutant is the scalars) and every other fiber a null vector, at most
+    1e-6 max(top, 1), with no zero entry (an invertible intertwiner).
     """
-    d = pair_0[0].shape[0]
-    for x in intertwiners(pair_i, pair_0, 1e-12):
-        if numeric_rank(x, tol) == d:
-            return x
-    return None
-
-
-def _condition_data(op1: np.ndarray, op2: np.ndarray, spaces: np.ndarray,
-                    tol: Tolerance):
-    """Evaluate one arm of the complementarity test.
-
-    op1/op2 are restricted along the shared subspace family; returns
-    (restriction of op1 to the first subspace, intertwiners to the first
-    subspace) or None.  The joint commutant is tested on the first subspace
-    only: an invertible intertwiner onto it makes every other restriction
-    similar to it.  Both operators are first scaled to unit norm, as
-    `intertwiners` assumes; the intertwiner relations do not change.
-    """
-    op1, op2 = (op / (np.linalg.norm(op) or 1.0) for op in (op1, op2))
-    a = _restriction(op1, spaces, tol)
-    b = _restriction(op2, spaces, tol)
-    if a is None or b is None:
+    beta = _restriction(op2 / (np.linalg.norm(op2) or 1.0), spaces, tol)
+    if beta is None:
         return None
-    if not _trivial_joint_commutant([a[0], b[0]]):
+    coords = spaces.conj().transpose(0, 2, 1) @ cells
+    beta = np.linalg.solve(coords, beta @ coords)
+    m, c = beta.shape[:2]
+    eye = np.eye(c)
+    system = beta[..., None] * eye - beta[0][..., None] * eye[:, None, :]
+    _, s, vh = np.linalg.svd(system.reshape(m, c * c, c))
+    floor = np.maximum(s[:, 0], 1.0)
+    if (np.count_nonzero(s[0] <= 1e-5 * floor[0]) != 1
+            or np.any(s[1:, -1] > 1e-6 * floor[1:])):
         return None
-    fiber_maps = [np.eye(a.shape[1], dtype=np.complex128)]
-    for pair in zip(a[1:], b[1:]):
-        x = _intertwiner(pair, (a[0], b[0]), tol)
-        if x is None:
-            return None
-        fiber_maps.append(x)
-    return a[0], fiber_maps
+    scales = vh[:, -1].conj()
+    sizes = np.sort(np.abs(scales), axis=1)[:, ::-1]
+    if any(singular_rank(d, tol) < c for d in sizes):
+        return None
+    return scales
 
 
 def _complementary_data(p1: ObservablePair, p2: ObservablePair,
@@ -294,17 +282,19 @@ def _complementary_data(p1: ObservablePair, p2: ObservablePair,
 
 def _find_complementary_data(p1: ObservablePair, p2: ObservablePair,
                              tol: Tolerance):
+    """The first shared family that passes `_fiber_scales`, M before N, as
+    (first pair's sets, its scaled cells per fiber, `grid_from_fibers` axis):
+    an M family holds cells (j, i) at fixed i, an N family at fixed j."""
     cs1 = verify_standard_complete(p1, tol)
     cs2 = verify_standard_complete(p2, tol)
-    thresh = 1e-7
-    if _match_sets(cs1.M, cs2.M, thresh):
-        data = _condition_data(p1.r, p2.r, cs1.M, tol)
-        if data is not None:
-            return "M", cs1, data
-    if _match_sets(cs1.N, cs2.N, thresh):
-        data = _condition_data(p1.t, p2.t, cs1.N, tol)
-        if data is not None:
-            return "N", cs1, data
+    cells = cs1.grid.reshape(-1, cs1.k, cs1.l)
+    for spaces, others, op2, fibers, axis in (
+            (cs1.M, cs2.M, p2.r, cells.transpose(2, 0, 1), 2),
+            (cs1.N, cs2.N, p2.t, cells.transpose(1, 0, 2), 1)):
+        if _match_sets(spaces, others, 1e-7):
+            scales = _fiber_scales(op2, spaces, fibers, tol)
+            if scales is not None:
+                return cs1, fibers * scales[:, None, :], axis
     return None
 
 
@@ -323,24 +313,15 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     """The unique factor pair containing both complementary pairs, plus the
     grid structure it induces.
 
-    Takes the eigenbasis of the first operator restricted to the first
-    shared subspace, each vector phase-fixed, and transports it to the other
-    subspaces of the family through the (unique up to scale) intertwiners.
-    `grid_from_fibers` fixes the free scalar per fiber and lays the fibers
-    out: an M family holds cells (j, i) at fixed i, an N family at fixed j.
+    The grid is the first pair's cells, each fiber scaled by its
+    intertwiner onto the first; `grid_from_fibers` fixes the free scalar
+    per fiber and lays the fibers out.
     """
     data = _complementary_data(p1, p2, tol)
     if data is None:
         raise NotComplementary("pairs are not complementary")
-    mode, cs, (a0, fiber_maps) = data
-    spaces = cs.M if mode == "M" else cs.N
-
-    fvals, fvecs = np.linalg.eig(a0)
-    p0 = spaces[0]
-    vecs0 = p0 @ fvecs[:, np.lexsort((fvals.imag, fvals.real))]
-    coords0 = p0.conj().T @ phase_fix(vecs0 / np.linalg.norm(vecs0, axis=0))
-    fibers = [p @ (x @ coords0) for p, x in zip(spaces, fiber_maps)]
-    basis = grid_from_fibers(fibers, axis=2 if mode == "M" else 1)
+    cs, fibers, axis = data
+    basis = grid_from_fibers(fibers, axis)
 
     structure = tps_new(cs.k, cs.l, basis, tol)
     a1, a2 = tps_to_tpp(structure, tol)

@@ -43,10 +43,15 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InputError(
             f"field '{field}.data' must hold rows*cols = {rows * cols} entries")
+    if not all(isinstance(e, list) and len(e) == 2
+               and all(_is_int(v) or isinstance(v, float) for v in e)
+               for e in data):
+        raise InputError(
+            f"field '{field}.data' entries must be [re, im] pairs of numbers")
     try:
-        flat = np.array([complex(e[0], e[1]) for e in data], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as e:
-        raise InputError(f"field '{field}.data' entries must be [re, im] pairs") from e
+        flat = np.array([complex(*e) for e in data], dtype=np.complex128)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"field '{field}.data' entries must be finite")
     if flat.size and not np.all(np.isfinite(flat.real) & np.isfinite(flat.imag)):
         raise InputError(f"field '{field}.data' entries must be finite")
     return flat.reshape(rows, cols)

@@ -1,22 +1,36 @@
 """Independent slow-but-exact reference computations used to pin expected
-test values. Nothing here touches the package's numerics, except the
-reference characteristic-set kernel, which reuses the package's
-clustering, phase and rank helpers and is kept as the per-fiber loop that the
-batched kernel in tpskit.observables replaced."""
+test values. Nothing here touches the package's numerics, except two
+references kept as the forms that tpskit.observables replaced: the
+characteristic-set kernel as a per-fiber loop (reusing the package's
+clustering, phase and rank helpers), and the complementarity condition as
+general intertwiner solves (reusing `core.intertwiners` and the package's
+characteristic sets, restriction and subspace matching)."""
 
 from fractions import Fraction
 import math
 
 import numpy as np
 
-from tpskit.core import cluster_values, numeric_rank, phase_fix
+from tpskit.core import (
+    cluster_values,
+    grid_from_fibers,
+    intertwiners,
+    numeric_rank,
+    phase_fix,
+)
 from tpskit.errors import (
     GridOverflow,
     JointDegeneracy,
     MultiplicityViolation,
     NotDiagonalizable,
 )
-from tpskit.observables import CharacteristicSets
+from tpskit.observables import (
+    CharacteristicSets,
+    _match_sets,
+    _restriction,
+    verify_standard_complete,
+)
+from tpskit.tps import tps_new
 
 
 def q(re, im=0):
@@ -237,3 +251,59 @@ def reference_standard_complete(p, tol):
         r_eigenvalues=r_centers, t_eigenvalues=t_centers,
         M=m_spaces, N=n_spaces, grid=grid,
     )
+
+
+# -- reference complementarity: a general intertwiner solve per fiber
+
+
+def _reference_condition(op1, op2, spaces, tol):
+    """Restriction of op1 to the first subspace and the intertwiners of the
+    restricted pairs onto it, or None.  The joint commutant on the first
+    subspace must be the scalars (one Gram null vector at cut 1e-10), and
+    every other subspace needs an invertible intertwiner (a null vector at
+    cut 1e-12 of full numeric rank); both operators are scaled to unit norm,
+    as `intertwiners` assumes."""
+    op1, op2 = (op / (np.linalg.norm(op) or 1.0) for op in (op1, op2))
+    a = _restriction(op1, spaces, tol)
+    b = _restriction(op2, spaces, tol)
+    if a is None or b is None:
+        return None
+    if len(intertwiners([a[0], b[0]], [a[0], b[0]], 1e-10)) != 1:
+        return None
+    d = a.shape[1]
+    fiber_maps = [np.eye(d, dtype=np.complex128)]
+    for pair in zip(a[1:], b[1:]):
+        x = next((x for x in intertwiners(pair, (a[0], b[0]), 1e-12)
+                  if numeric_rank(x, tol) == d), None)
+        if x is None:
+            return None
+        fiber_maps.append(x)
+    return a[0], fiber_maps
+
+
+def reference_complementary(p1, p2, tol):
+    """The Tps of the factor pair pinned down by two complementary pairs, or
+    None when they are not complementary.
+
+    Tries the M family (r restricted to the eigenspaces of t), then the N
+    family; on the first that both pairs share and that passes the
+    condition, the eigenvectors of op1 on the first subspace, phase-fixed
+    and sorted by (re, im) eigenvalue, are carried to every other subspace
+    by the intertwiners and laid out by `grid_from_fibers`."""
+    cs1 = verify_standard_complete(p1, tol)
+    cs2 = verify_standard_complete(p2, tol)
+    for spaces, others, op1, op2, axis in ((cs1.M, cs2.M, p1.r, p2.r, 2),
+                                           (cs1.N, cs2.N, p1.t, p2.t, 1)):
+        if not _match_sets(spaces, others, 1e-7):
+            continue
+        data = _reference_condition(op1, op2, spaces, tol)
+        if data is None:
+            continue
+        a0, fiber_maps = data
+        fvals, fvecs = np.linalg.eig(a0)
+        vecs0 = spaces[0] @ fvecs[:, np.lexsort((fvals.imag, fvals.real))]
+        coords0 = spaces[0].conj().T @ phase_fix(
+            vecs0 / np.linalg.norm(vecs0, axis=0))
+        fibers = [p @ (x @ coords0) for p, x in zip(spaces, fiber_maps)]
+        return tps_new(cs1.k, cs1.l, grid_from_fibers(fibers, axis), tol)
+    return None

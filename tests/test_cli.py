@@ -178,6 +178,13 @@ def test_example_degree_too_small_exits_2():
             assert err.count("\n") == 1 and "at least 3" in err, (which, degree)
 
 
+def test_example_bell_refuses_a_degree():
+    for degree in ("-3", "0", "4"):
+        code, out, err = run_cli(["example", "bell", "--degree", degree])
+        assert code == 2 and out == "", degree
+        assert err == "InputError: example bell takes no --degree\n", degree
+
+
 def test_example_outputs_deterministic():
     for which in ("bell", "bargmann", "com"):
         code1, out1, _ = run_cli(["example", which])

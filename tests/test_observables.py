@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import tpskit.algebra
+import tpskit.core
 import tpskit.observables
 
 from tpskit import (
@@ -26,8 +28,14 @@ from tpskit.errors import (
 )
 from tpskit.observables import ObservablePair, _chain_matrix
 
-from oracles import reference_standard_complete
-from util import count_calls, random_invertible, random_standard_pair, random_unitary
+from oracles import reference_complementary, reference_standard_complete
+from util import (
+    complementary_corpus,
+    count_calls,
+    random_invertible,
+    random_standard_pair,
+    random_unitary,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -213,18 +221,64 @@ def test_non_isomorphic_fibers_fail_at_the_intertwiner(monkeypatch):
             assert verify_standard_complete(p2).k == k
 
             found = []
-            intertwiner = tpskit.observables._intertwiner
+            fiber_scales = tpskit.observables._fiber_scales
 
             def spy(*args):
-                found.append(intertwiner(*args))
+                found.append(fiber_scales(*args))
                 return found[-1]
 
-            monkeypatch.setattr(tpskit.observables, "_intertwiner", spy)
+            monkeypatch.setattr(tpskit.observables, "_fiber_scales", spy)
             assert not verify_complementary(p1, p2)
             assert found and found[0] is None
             with pytest.raises(NotComplementary):
                 tpp_from_complementary(p1, p2)
             monkeypatch.undo()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except TpskitError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_complementarity_matches_the_intertwiner_reference(seed):
+    for kind, p1, p2 in complementary_corpus(np.random.default_rng(1000 + seed)):
+        case = (kind, p1.r.shape, p1.hermitian)
+        want = _outcome(lambda: reference_complementary(p1, p2, DEFAULT_TOL))
+        got = _outcome(lambda: verify_complementary(p1, p2))
+        built = _outcome(lambda: tpp_from_complementary(p1, p2))
+        if want is None:
+            assert got is False and built is NotComplementary, case
+        elif isinstance(want, type):
+            assert got is built is want, case
+        else:
+            assert got is True, case
+            eq = tps_equivalent(want, built[2])
+            assert eq.equivalent and not eq.swapped, case
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_complementarity_solves_no_intertwiner_and_no_eig(monkeypatch, unitary):
+    assert not hasattr(tpskit.observables, "intertwiners")
+    r, t = random_standard_pair(np.random.default_rng(61), 2, 3, unitary)
+    p1 = observable_pair(r, t)
+    swapped = observable_pair(t, r)
+    partners = (  # sharing the eigenspaces of t, then those of r
+        complementary_pair(p1, verify_standard_complete(p1)),
+        observable_pair(
+            r, complementary_pair(swapped, verify_standard_complete(swapped)).r))
+    for p2 in partners:
+        # kept on the pairs; the sets of a non-Hermitian p2 take an eig
+        verify_standard_complete(p2)
+    solves = [count_calls(monkeypatch, module, "intertwiners")
+              for module in (tpskit.core, tpskit.algebra)]
+    eigs = count_calls(monkeypatch, np.linalg, "eig")
+    for p2 in partners:
+        assert verify_complementary(p1, p2)
+        tpp_from_complementary(p1, p2)
+    assert solves == [[], []] and eigs == []
 
 
 @pytest.mark.parametrize("alpha", [1e-5, 1e-12])
@@ -365,7 +419,7 @@ def test_failing_pair_not_memoised(monkeypatch):
 
 
 def test_check_then_build_solves_the_condition_once(monkeypatch):
-    calls = count_calls(monkeypatch, tpskit.observables, "_condition_data")
+    calls = count_calls(monkeypatch, tpskit.observables, "_fiber_scales")
     r, t = random_standard_pair(np.random.default_rng(58), 2, 3)
     p1 = observable_pair(r, t)
     p2 = complementary_pair(p1, verify_standard_complete(p1))
@@ -376,7 +430,7 @@ def test_check_then_build_solves_the_condition_once(monkeypatch):
 
 
 def test_other_partner_or_tolerance_retests_complementarity(monkeypatch):
-    calls = count_calls(monkeypatch, tpskit.observables, "_condition_data")
+    calls = count_calls(monkeypatch, tpskit.observables, "_fiber_scales")
     r, t = random_standard_pair(np.random.default_rng(59), 2, 2)
     p1 = observable_pair(r, t)
     p2 = complementary_pair(p1, verify_standard_complete(p1))

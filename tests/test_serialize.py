@@ -72,6 +72,12 @@ def test_matrix_from_json_errors_name_the_field():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[1], [0], [0], [1]]})
     with pytest.raises(InputError):
         matrix_from_json({"rows": -1, "cols": 2, "data": []})
+    # each entry is a list of exactly two numbers, nothing of it dropped
+    for entry in ([1, 2, 3], [4, 5, "x"], ["1", 0], (1, 0), 1, None):
+        with pytest.raises(InputError, match="data"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": [entry]}, "basis")
+    with pytest.raises(InputError, match="finite"):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [[10 ** 400, 0]]})
 
 
 def test_tps_from_json_validation():
@@ -93,7 +99,9 @@ def test_booleans_are_not_integers():
            (tps_from_json, dict(grid, k=True, l=4)),
            (tps_from_json, dict(grid, k=4, l=True)),
            (tps_from_json, {"dim": True, "k": 1, "l": 1, "basis": one}),
-           (algebra_from_json, {"n": True, "span": [one]})]
+           (algebra_from_json, {"n": True, "span": [one]}),
+           (matrix_from_json, dict(one, data=[[True, False]])),
+           (matrix_from_json, dict(one, data=[[1.0, False]]))]
     for parse, obj in bad:
         with pytest.raises(InputError):
             parse(_through_json(obj))
