@@ -335,6 +335,14 @@ FAILING_PAIRS = {
                   np.kron(I2, np.diag([1.0, 2.0])), False, NotDiagonalizable),
     # anticommuting, so the eigenspaces of t are not invariant under r
     "non_invariant": (np.kron(SX, I2), np.kron(SZ, SZ), True, JointDegeneracy),
+    "t_multiplicity": (np.diag([0.0, 1, 0, 0]), np.diag([0.0, 0, 1, 2]), True,
+                       MultiplicityViolation),
+    "t_defective": (np.kron(I2, np.diag([1.0, 2.0])),
+                    np.kron(np.array([[1, 1], [0, 1]]), I2), False,
+                    NotDiagonalizable),
+    # r = t: each joint eigenspace is two-dimensional
+    "joint_degenerate": (np.diag([1.0, 1, 2, 2]), np.diag([1.0, 1, 2, 2]), True,
+                         JointDegeneracy),
 }
 
 
