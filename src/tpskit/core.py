@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MultiplicityViolation, NotDiagonalizable
+from .errors import DimensionMismatch
 
 COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 
@@ -66,6 +66,14 @@ def as_vector(w, n: int | None = None) -> np.ndarray:
     return a
 
 
+def pow2_scaled(a: np.ndarray) -> np.ndarray:
+    """A non-empty a times the power of two that brings its largest entry
+    magnitude into [1/2, 1): an exact scaling after which norms and products
+    of such arrays neither underflow nor overflow.  Zeros are unchanged."""
+    e = -np.frexp(np.abs(a).max())[1]
+    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
+
+
 def cluster_values(values: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     """Group scalars into clusters by single-linkage with a relative gap.
 
@@ -97,39 +105,6 @@ def cluster_values(values: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
     for i in order.tolist():
         groups.setdefault(labels[i], []).append(i)
     return [np.array(idx) for idx in groups.values()]
-
-
-def cluster_centers(vals: np.ndarray, clusters: list) -> np.ndarray:
-    """Means of equal-sized clusters, real when no mean has an imaginary
-    part."""
-    centers = vals[np.concatenate(clusters)].reshape(len(clusters), -1).mean(axis=1)
-    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
-        centers = centers.real
-    return centers
-
-
-def eigenspaces(t: np.ndarray, hermitian: bool, tol: Tolerance):
-    """Eigenvalue cluster centers of a square matrix t, ascending, and its
-    eigenspaces, the fibers, as an (l, n, k) stack of orthonormal bases; all
-    l must have one dimension k."""
-    if hermitian:
-        vals, vecs = np.linalg.eigh(t)
-    else:
-        vals, vecs = np.linalg.eig(t)
-        if np.linalg.cond(vecs) >= COND_LIMIT:
-            raise NotDiagonalizable(
-                "eigenvector matrix too ill-conditioned to trust")
-    clusters = cluster_values(vals, tol)
-    n, l = t.shape[0], len(clusters)
-    sizes = [c.size for c in clusters]
-    if sizes != [n // l] * l:
-        raise MultiplicityViolation(
-            f"eigenvalue multiplicities {sizes} of t are not all equal")
-    spaces = vecs[:, np.concatenate(clusters)].reshape(n, l, n // l)
-    spaces = spaces.transpose(1, 0, 2)
-    if not hermitian:  # orthonormalize each eigenspace basis
-        spaces = np.linalg.qr(spaces)[0]
-    return cluster_centers(vals, clusters), spaces
 
 
 def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -23,11 +23,10 @@ from .core import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    cluster_centers,
     cluster_values,
-    eigenspaces,
     grid_from_fibers,
     phase_fix,
+    pow2_scaled,
     singular_rank,
     subspace_residual,
 )
@@ -72,22 +71,47 @@ class CharacteristicSets:
 
 
 def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
-    """Validate a commuting pair and tag whether both are self-adjoint.
-
-    Both tests are relative to the operators' own norms, so a rescaled pair
-    gets the same verdict; a zero operator commutes and is self-adjoint.
-    """
+    """Validate a non-empty commuting pair and tag whether both are
+    self-adjoint.  Both tests are relative to the norms of r and t, each
+    scaled exactly by a power of two, so a rescaled pair gets the same
+    verdict at any scale; a zero operator commutes and is self-adjoint."""
     rm = as_matrix(r)
     n = rm.shape[0]
-    if rm.shape[1] != n:
-        raise DimensionMismatch("r must be square")
+    if rm.shape[1] != n or n == 0:
+        raise DimensionMismatch("r must be square and non-empty")
     tm = as_matrix(t, rows=n, cols=n)
-    scale = float(np.linalg.norm(rm)) * float(np.linalg.norm(tm))
-    if np.linalg.norm(rm @ tm - tm @ rm) > 10 * tol.residual * scale:
+    rs, ts = pow2_scaled(rm), pow2_scaled(tm)
+    scale = float(np.linalg.norm(rs)) * float(np.linalg.norm(ts))
+    if np.linalg.norm(rs @ ts - ts @ rs) > 10 * tol.residual * scale:
         raise NotCommuting("r and t do not commute within tolerance")
     herm = all(np.max(np.abs(m - m.conj().T)) <= tol.residual * np.abs(m).max()
-               for m in (rm, tm))
+               for m in (rs, ts))
     return ObservablePair(r=rm, t=tm, hermitian=herm)
+
+
+def _eigen_tiles(a: np.ndarray, hermitian: bool, tol: Tolerance):
+    """Eigenvalue cluster centers (ascending; real when none has an
+    imaginary part), clusters and eigenvectors of a square matrix, or of an
+    (m, d, d) stack whose eigenvalues are pooled.  The clusters must be
+    equal in size, and of size m for a stack."""
+    if hermitian:
+        vals, vecs = np.linalg.eigh(a)
+    else:
+        vals, vecs = np.linalg.eig(a)
+        if np.max(np.linalg.cond(vecs)) >= COND_LIMIT:
+            raise NotDiagonalizable(
+                "eigenvector matrix too ill-conditioned to trust")
+    vals = vals.reshape(-1)
+    clusters = cluster_values(vals, tol)
+    size = a.shape[0] if a.ndim == 3 else vals.size // len(clusters)
+    sizes = [c.size for c in clusters]
+    if sizes != [size] * len(clusters):
+        raise MultiplicityViolation(
+            f"eigenvalue multiplicities {sizes} are not all {size}")
+    centers = vals[np.concatenate(clusters)].reshape(len(clusters), -1).mean(axis=1)
+    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
+        centers = centers.real
+    return centers, clusters, vecs
 
 
 def _characteristic_sets(p: ObservablePair,
@@ -96,29 +120,19 @@ def _characteristic_sets(p: ObservablePair,
     one eigenvalue in each of r's k clusters, and its eigenvectors are the
     grid cells of that fiber."""
     n = p.r.shape[0]
-    t_centers, fibers = eigenspaces(p.t, p.hermitian, tol)
-    l, k = fibers.shape[0], fibers.shape[2]
+    t_centers, clusters, vecs = _eigen_tiles(p.t, p.hermitian, tol)
+    l, k = len(clusters), n // len(clusters)
+    fibers = vecs[:, np.concatenate(clusters)].reshape(n, l, k).transpose(1, 0, 2)
+    if not p.hermitian:  # orthonormalize each eigenspace basis
+        fibers = np.linalg.qr(fibers)[0]
     blocks = _restriction(p.r, fibers, tol)                  # (l, k, k)
     if blocks is None:
         raise JointDegeneracy(
             "eigenspace of t is not invariant under r within tolerance")
     if p.hermitian:
-        fvals, fvecs = np.linalg.eigh(
-            (blocks + blocks.conj().transpose(0, 2, 1)) / 2)
-    else:
-        fvals, fvecs = np.linalg.eig(blocks)
-        if np.max(np.linalg.cond(fvecs)) >= COND_LIMIT:
-            raise NotDiagonalizable(
-                "restricted eigenvector matrix too ill-conditioned")
-
+        blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
     # r's spectrum is the union of the fiber spectra
-    pooled = fvals.reshape(-1)
-    clusters = cluster_values(pooled, tol)
-    sizes = [c.size for c in clusters]
-    if sizes != [l] * k:
-        raise MultiplicityViolation(
-            f"eigenvalue multiplicities {sizes} of r do not tile dimension "
-            f"{n} as {k} x {l}")
+    r_centers, clusters, fvecs = _eigen_tiles(blocks, p.hermitian, tol)
     labels = np.empty(n, dtype=np.intp)
     labels[np.concatenate(clusters)] = np.repeat(np.arange(k), l)
     labels = labels.reshape(l, k)
@@ -140,7 +154,6 @@ def _characteristic_sets(p: ObservablePair,
     n_spaces = grid.reshape(n, k, l).transpose(1, 0, 2)     # (k, n, l)
     if not p.hermitian:
         n_spaces = np.linalg.qr(n_spaces)[0]
-    r_centers = cluster_centers(pooled, clusters)
     for a in (r_centers, t_centers, fibers, n_spaces, grid):
         a.flags.writeable = False
     return CharacteristicSets(

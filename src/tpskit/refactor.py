@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector
+from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, pow2_scaled
 from .errors import DimensionMismatch, NonCompositeDim, ShapeTooSmall, ZeroState
 from .tps import Tps, tps_new
 
@@ -32,14 +32,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _rescaled(v: np.ndarray) -> np.ndarray:
-    """The state times the power of two that brings its largest entry
-    magnitude into [1/2, 1): an exact scaling after which its norm neither
-    underflows nor overflows, so only an exactly zero state is refused."""
-    peak = np.max(np.abs(v), initial=0.0)
-    if peak == 0:
+    """The state scaled by `pow2_scaled`, so that its norm neither underflows
+    nor overflows and only an exactly zero state is refused."""
+    if not v.any():
         raise ZeroState("cannot refactor the zero vector")
-    e = -np.frexp(peak)[1]
-    return np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
+    return pow2_scaled(v)
 
 
 def tps_making_basis_product(basis, k: int, l: int,

@@ -86,6 +86,13 @@ def test_build_tps_then_analyze(tmp_path):
     assert json.loads(out)["schmidt"]["rank"] == 1
 
 
+def test_build_tps_empty_operators_exit_2(tmp_path):
+    empty = {"rows": 0, "cols": 0, "data": []}
+    obs = write_json(tmp_path / "pair.json", {"r": empty, "t": empty})
+    code, out, err = run_cli(["build-tps", "--observables", obs])
+    assert code == 2 and out == "" and err.startswith("DimensionMismatch: ")
+
+
 def test_refactor_dual(tmp_path):
     rng = np.random.default_rng(80)
     w = rng.normal(size=4) + 1j * rng.normal(size=4)
@@ -163,6 +170,9 @@ def test_bad_tol_and_shape_exit_2(tmp_path):
     assert code == 2
     code, _, err = run_cli(["--tol", "foo=1", "example", "bell"])
     assert code == 2 and "foo" in err
+    # a component without '=' is refused before its name is looked up
+    code, _, err = run_cli(["--tol", "rank", "example", "bell"])
+    assert code == 2 and "name=value" in err
     # an infinite bound is refused like a non-positive one
     for tol in ("res=inf", "eig=inf"):
         code, _, err = run_cli(["--tol", tol, "example", "bell"])

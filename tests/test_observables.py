@@ -19,6 +19,7 @@ from tpskit import (
 from tpskit.algebra import contains
 from tpskit.core import DEFAULT_TOL, Tolerance, subspace_residual
 from tpskit.errors import (
+    DimensionMismatch,
     JointDegeneracy,
     MultiplicityViolation,
     NotCommuting,
@@ -281,7 +282,7 @@ def test_complementarity_solves_no_intertwiner_and_no_eig(monkeypatch, unitary):
     assert solves == [[], []] and eigs == []
 
 
-@pytest.mark.parametrize("alpha", [1e-5, 1e-12])
+@pytest.mark.parametrize("alpha", [1e-5, 1e-12, 1e-200, 1e200])
 def test_scaled_non_commuting_pair_rejected(alpha):
     r = alpha * np.kron(SX, I2)
     t = alpha * (np.kron(SZ, I2) + 0.5 * np.kron(I2, SZ))
@@ -293,8 +294,14 @@ def test_scaled_non_commuting_pair_rejected(alpha):
 def test_rescaled_commuting_pair_keeps_its_tag(unitary):
     rng = np.random.default_rng(52)
     r, t = random_standard_pair(rng, 2, 3, unitary)
-    for alpha in (1.0, 1e-12, 1e12):
+    for alpha in (1.0, 1e-12, 1e12, 1e-200, 1e200):
         assert observable_pair(alpha * r, alpha * t).hermitian is unitary
+
+
+def test_empty_operator_refused():
+    z = np.zeros((0, 0))
+    with pytest.raises(DimensionMismatch):
+        observable_pair(z, z)
 
 
 def test_zero_operator_commutes_and_is_self_adjoint():
@@ -402,6 +409,20 @@ def test_observable_grid_takes_one_svd(monkeypatch, unitary):
     np.testing.assert_array_equal(tps.basis, verify_standard_complete(p).grid)
     # the grid's rank test in the characteristic sets, none in building the Tps
     assert [args[0].shape for args in calls] == [(12, 12)]
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_characteristic_sets_take_two_eigendecompositions(monkeypatch, unitary):
+    r, t = random_standard_pair(np.random.default_rng(60), 2, 3, unitary)
+    p = observable_pair(r, t)
+    used, unused = ("eigh", "eig") if unitary else ("eig", "eigh")
+    eigs = count_calls(monkeypatch, np.linalg, used)
+    others = count_calls(monkeypatch, np.linalg, unused)
+    clusters = count_calls(monkeypatch, tpskit.observables, "cluster_values")
+    verify_standard_complete(p)
+    # t, then the stacked restrictions of r to its three eigenspaces
+    assert [args[0].shape for args in eigs] == [(6, 6), (3, 2, 2)]
+    assert others == [] and [args[0].size for args in clusters] == [6, 6]
 
 
 def test_pair_and_sets_are_read_only():
