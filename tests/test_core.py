@@ -7,6 +7,7 @@ from tpskit.core import (
     as_matrix,
     as_vector,
     cluster_values,
+    grid_from_fibers,
     intertwiners,
     numeric_rank,
     phase_fix,
@@ -178,6 +179,43 @@ def test_phase_fix_scale_consistency():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     z = np.exp(1j * 0.7)
     assert np.linalg.norm(phase_fix(v * z) - phase_fix(v)) <= 1e-12
+
+
+def test_grid_from_fibers_layout_and_first_columns():
+    rng = np.random.default_rng(7)
+    k, l = 2, 3
+    n = k * l
+    for axis, count, width in ((2, l, k), (1, k, l)):
+        fibers = rng.normal(size=(count, n, width)) \
+            + 1j * rng.normal(size=(count, n, width))
+        grid = grid_from_fibers(list(fibers), axis)
+        assert grid.shape == (n, n)
+        # a list of fibers and their stacked array give the same grid
+        assert np.array_equal(grid_from_fibers(fibers, axis), grid)
+        for f, fiber in enumerate(fibers):
+            # column j*l + i holds cell (j, i): fiber i's column j on
+            # axis=2, fiber j's column i on axis=1
+            cols = [j * l + f if axis == 2 else f * l + j for j in range(width)]
+            cells = grid[:, cols]
+            y0 = cells[:, 0]
+            assert abs(np.linalg.norm(y0) - 1) <= 1e-14
+            p = np.argmax(np.abs(y0))
+            assert abs(y0[p].imag) <= 1e-15 and y0[p].real > 0
+            # one scalar per fiber
+            scale = fiber[p, 0] / y0[p]
+            assert np.allclose(cells * scale, fiber, rtol=0, atol=1e-13)
+
+
+def test_grid_from_fibers_keeps_the_lowest_pivot_on_ties():
+    # exact magnitude ties: the lowest index becomes real positive
+    for y0, p in (([1j, -1, 1, 0], 0), ([0, -1j, 1, 1j], 1)):
+        fiber = np.array([y0, [1, 2, 3, 4]], dtype=complex).T
+        grid = grid_from_fibers([fiber, fiber], axis=2)
+        for c in (0, 1):
+            col = grid[:, c]
+            assert abs(col[p].imag) <= 1e-15 and col[p].real > 0
+            assert np.allclose(col * np.sqrt(3) * fiber[p, 0], fiber[:, 0],
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
