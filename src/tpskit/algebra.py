@@ -7,16 +7,16 @@ which keeps every structural test at a uniform tolerance.
 
 Factor pairs are certified witness first: a pair is a tensor product
 partition exactly when some grid basis B induces it, so certification builds
-B from generic elements of the pair and checks, in B's own frame, that B is
-unitary and conjugates the pair onto M_k (x) 1 and 1 (x) M_l.  A generic
-Hermitian element of a star-closed algebra is drawn as the Hermitian part of
-a complex Gaussian combination of its span basis.  Adjoint closure is implied
-by a unitary witness, so it is not checked beforehand.  The six structural
-checks (commutation, adjoint closure, square dimensions, mutual commutants,
-trivial centers, full join) run only when no witness is found, as
-diagnostics of the failure.  The verdict, witness included, is kept on the
-first algebra per partner and Tolerance, so certifying a pair and then
-building its grid runs the certification once.
+B from generic elements of the pair and checks that B is unitary and that
+the spans of its own generators, as `tps_to_tpp` builds them, are the pair.
+A generic Hermitian element of a star-closed algebra is drawn as the
+Hermitian part of a complex Gaussian combination of its span basis.  Adjoint
+closure is implied by a unitary witness, so it is not checked beforehand.
+The six structural checks (commutation, adjoint closure, square dimensions,
+mutual commutants, trivial centers, full join) run only when no witness is
+found, as diagnostics of the failure.  The verdict, witness included, is
+kept on the first algebra per partner and Tolerance, so certifying a pair
+and then building its grid runs the certification once.
 """
 
 from __future__ import annotations
@@ -260,26 +260,31 @@ def _lowdin(mats: np.ndarray) -> np.ndarray | None:
     return ((v / np.sqrt(lam)) @ v.conj().T @ f).reshape(m, n, n)
 
 
+def _grid_spans(b: np.ndarray, binv: np.ndarray, k: int, l: int):
+    """Stacks of the generators B (E_ab ox 1_l) binv and B (1_k ox E_cd) binv
+    of a k x l grid basis B; with binv = B^-1 they span the pair B induces."""
+    n = k * l
+    b = b.reshape(n, k, l)
+    binv = binv.reshape(k, l, n)
+    # B (E_ab ox 1) binv = B[:, a, :] @ binv[b], B (1 ox E_cd) binv likewise
+    return ((b.transpose(1, 0, 2)[:, None] @ binv).reshape(-1, n, n),
+            (b.transpose(2, 0, 1)[:, None] @ binv.transpose(1, 0, 2)).reshape(-1, n, n))
+
+
 def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     """Algebra pair acting factorwise in the grid basis of a Tps.
 
     A1 is spanned by B (E_ab ox 1_l) B^-1 over matrix units of the first
-    factor, A2 by B (1_k ox E_cd) B^-1, with B the grid basis.  Each span
-    holds the identity.  When its k^2 (or l^2) generators are nearly
-    orthogonal, as for a unitary or nearly unitary grid, it is
-    orthonormalized by `_lowdin`; otherwise by an SVD.
+    factor, A2 by B (1_k ox E_cd) B^-1, with B the grid basis
+    (`_grid_spans`).  Each span holds the identity.  When its k^2 (or l^2)
+    generators are nearly orthogonal, as for a unitary or nearly unitary
+    grid, it is orthonormalized by `_lowdin`; otherwise by an SVD.
     """
-    n, k, l = t.dim, t.k, t.l
-    b = t.basis.reshape(n, k, l)
-    binv = t.inverse.reshape(k, l, n)
-    # B (E_ab ox 1) B^-1 = B[:, a, :] @ B^-1[b], B (1 ox E_cd) B^-1 likewise
-    spans = [(b.transpose(1, 0, 2)[:, None] @ binv).reshape(-1, n, n),
-             (b.transpose(2, 0, 1)[:, None] @ binv.transpose(1, 0, 2)).reshape(-1, n, n)]
     pair = []
-    for span in spans:
+    for span in _grid_spans(t.basis, t.inverse, t.k, t.l):
         basis = _lowdin(span)
-        pair.append(_from_closed_span(span, n, tol) if basis is None else
-                    OperatorAlgebra(dim_space=n, span_basis=basis, unital=True))
+        pair.append(_from_closed_span(span, t.dim, tol) if basis is None else
+                    OperatorAlgebra(dim_space=t.dim, span_basis=basis, unital=True))
     return tuple(pair)
 
 
@@ -335,23 +340,17 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
 def _induces(t: Tps, a1: OperatorAlgebra, a2: OperatorAlgebra,
              tol: Tolerance) -> bool:
     """Whether the grid basis U of t is unitary and induces exactly (a1, a2):
-    U^* g U minus its partial-trace projection onto M_k (x) 1 (g in a1) or
-    1 (x) M_l (g in a2) is within `span_equal`'s bound.  Conjugation by U
-    preserves Frobenius norms and the spans have the dimensions k^2, l^2 of
-    the pair t induces, so this is `span_equal` against that pair."""
+    the orthonormal spans U (E_ab ox 1) U^* / sqrt(l), U (1 ox E_cd) U^* /
+    sqrt(k) of the pair U induces (`_grid_spans`) have projection residuals
+    onto a1.flat, a2.flat within `span_equal`'s bound.  They have the
+    dimensions k^2, l^2 of (a1, a2) (`_factor_dims`), so this residual
+    ||(1 - P_A) P_W|| equals ||(1 - P_W) P_A||, as in `span_equal`."""
     if not is_inner_product_compatible(t, tol):
         return False
-    k, l, u = t.k, t.l, t.basis
-    for a, swap in ((a1, False), (a2, True)):
-        x = (u.conj().T @ a.span_basis @ u).reshape(-1, k, l, k, l)
-        if swap:
-            x = x.transpose(0, 2, 1, 4, 3)
-        m = x.shape[2]
-        part = np.einsum("zaibi->zab", x) / m
-        resid = x - np.einsum("zab,ij->zaibj", part, np.eye(m))
-        if np.linalg.norm(resid) > _span_bound(a.dim):
-            return False
-    return True
+    u = t.basis
+    spans = _grid_spans(u, u.conj().T, t.k, t.l)
+    return all(_projection_residual(w / np.sqrt(m), a.flat) <= _span_bound(a.dim)
+               for w, m, a in zip(spans, (t.l, t.k), (a1, a2)))
 
 
 def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
@@ -362,8 +361,9 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     order, are the l fibers as consecutive blocks of k columns, one block per
     k-fold eigenvalue; the eigenvectors of a generic Hermitian r in a1,
     compressed to the first fiber, are its k cells.  One generic element of
-    a2 carries that fiber into every other one (`grid_from_fibers` lays them
-    out); when it misses a fiber, the transport is drawn again.  The result
+    a2 carries that fiber into all the others in one batched product over
+    their (l-1, n, k) stack, which `grid_from_fibers` scales and lays out;
+    when it misses a fiber, the transport is drawn again.  The result
     is a witness only if it is unitary and induces exactly a1 and a2
     (`_induces`), the one gate: a pair that is not a factor pair fails it,
     and it implies all six checks of `_diagnose`, adjoint closure included.
@@ -384,18 +384,18 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     f0 = fibers[0]
     fiber0 = phase_fix(f0 @ np.linalg.eigh(f0.conj().T @ r @ f0)[1])
 
+    rest = fibers[1:]
     for _ in range(16):
         b = _draw_generic_hermitian(a2, rng)
-        moved = b @ fiber0
-        transported = [p @ (p.conj().T @ moved) for p in fibers[1:]]
-        floor = 1e-6 * np.linalg.norm(b)
-        if all(np.linalg.norm(x[:, 0]) > floor for x in transported):
+        transported = rest @ (rest.conj().transpose(0, 2, 1) @ (b @ fiber0))
+        if np.all(np.linalg.norm(transported[:, :, 0], axis=1)
+                  > 1e-6 * np.linalg.norm(b)):
             break
     else:
         return None
 
-    out = Tps(dim=n, k=k, l=l,
-              basis=grid_from_fibers([fiber0] + transported, axis=2))
+    out = Tps(dim=n, k=k, l=l, basis=grid_from_fibers(
+        np.concatenate([fiber0[None], transported]), axis=2))
     return out if _induces(out, a1, a2, tol) else None
 
 
@@ -426,12 +426,12 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
     """Certify that an ordered algebra pair factors the full matrix algebra.
 
     Witness first: a pair with square span dimensions is certified by
-    building a unitary grid basis U that induces it, checked by conjugation
-    in U's frame (U^* A1 U = M_k (x) 1, U^* A2 U = 1 (x) M_l), which implies
-    every named check.  Without a witness the six checks are evaluated
-    directly, as diagnostics of the failure: elementwise commutation,
-    closure under adjoints, square span dimensions k^2, l^2 with k*l = n,
-    mutual commutants, trivial centers and a join of full dimension.  Only
+    building a unitary grid basis U that induces it, checked against the
+    spans of U's own generators (`_induces`), which implies every named
+    check.  Without a witness the six checks are evaluated directly, as
+    diagnostics of the failure: elementwise commutation, closure under
+    adjoints, square span dimensions k^2, l^2 with k*l = n, mutual
+    commutants, trivial centers and a join of full dimension.  Only
     star-closed pairs are certified; star-closure is implied by the
     witness, not checked before it.
 

@@ -170,17 +170,16 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
 
 
 def grid_from_fibers(fibers, axis: int) -> np.ndarray:
-    """Grid basis (column j*l + i = cell (j, i)) laid out from fibers.
+    """Grid basis (column j*l + i = cell (j, i)) laid out from fibers, a
+    sequence of them or their stacked array.
 
     With axis=2 fiber i is an n x k matrix holding cell (j, i) in column j;
     with axis=1 fiber j is n x l, holding cell (j, i) in column i.  Each
     fiber is rescaled once so that its first column is a unit vector whose
     largest-magnitude entry (lowest index on ties) is real positive.
     """
-    scaled = []
-    for f in fibers:
-        y0 = f[:, 0]
-        p = int(np.argmax(np.abs(y0)))
-        scaled.append(f / (np.linalg.norm(y0) * (y0[p] / abs(y0[p]))))
-    grid = np.stack(scaled, axis=axis)
-    return grid.reshape(grid.shape[0], -1)
+    f = np.asarray(fibers)
+    y0 = f[:, :, 0]
+    pivot = y0[np.arange(len(f)), np.argmax(np.abs(y0), axis=1)]
+    scale = np.linalg.norm(y0, axis=1) * (pivot / np.abs(pivot))
+    return np.moveaxis(f / scale[:, None, None], 0, axis).reshape(f.shape[1], -1)

@@ -1,10 +1,11 @@
 """Independent slow-but-exact reference computations used to pin expected
-test values. Nothing here touches the package's numerics, except two
-references kept as the forms that tpskit.observables replaced: the
-characteristic-set kernel as a per-fiber loop (reusing the package's
-clustering, phase and rank helpers), and the complementarity condition as
-general intertwiner solves (reusing `core.intertwiners` and the package's
-characteristic sets, restriction and subspace matching)."""
+test values. Nothing here touches the package's numerics, except three
+references kept as the forms that tpskit replaced: the characteristic-set
+kernel as a per-fiber loop (reusing the package's clustering, phase and
+rank helpers), the complementarity condition as general intertwiner solves
+(reusing `core.intertwiners` and the package's characteristic sets,
+restriction and subspace matching), and the TPP witness gate as a
+conjugation into the grid's frame."""
 
 from fractions import Fraction
 import math
@@ -158,6 +159,37 @@ def gram_compatible(t, tol):
     10 * residual * n."""
     g = t.basis.conj().T @ t.basis
     return bool(np.linalg.norm(g - np.eye(t.dim)) <= 10 * tol.residual * t.dim)
+
+
+def singular_compatible(t, tol):
+    """The singular-value test of inner-product compatibility: ||s^2 - 1||
+    over the singular values s of B within 10 * residual * n."""
+    s = np.linalg.svd(t.basis, compute_uv=False)
+    return bool(np.linalg.norm(s ** 2 - 1) <= 10 * tol.residual * t.dim)
+
+
+def reference_induces(t, a1, a2, tol):
+    """The TPP witness gate in the frame-conjugation form that
+    `tpskit.algebra._induces` replaced: for the grid basis U of t, U^* g U
+    minus its partial-trace projection onto M_k (x) 1 (g in a1) or
+    1 (x) M_l (g in a2), against the bound 1e-8 sqrt(dim) of `span_equal`.
+    Returns the verdict and the residuals measured, in order: none when U
+    fails `singular_compatible`, and the first one over its bound ends them."""
+    residuals = []
+    if not singular_compatible(t, tol):
+        return False, residuals
+    k, l, u = t.k, t.l, t.basis
+    for a, swap in ((a1, False), (a2, True)):
+        x = (u.conj().T @ a.span_basis @ u).reshape(-1, k, l, k, l)
+        if swap:
+            x = x.transpose(0, 2, 1, 4, 3)
+        m = x.shape[2]
+        part = np.einsum("zaibi->zab", x) / m
+        resid = x - np.einsum("zab,ij->zaibj", part, np.eye(m))
+        residuals.append(float(np.linalg.norm(resid)))
+        if residuals[-1] > 1e-8 * np.sqrt(max(a.dim, 1)):
+            return False, residuals
+    return True, residuals
 
 
 def _reference_eigen_data(m, hermitian, tol):

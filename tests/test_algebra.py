@@ -16,6 +16,7 @@ from tpskit import (
     is_tpp,
     join,
     span_equal,
+    swap_factors,
     tpp_to_tps,
     tps_equivalent,
     tps_new,
@@ -33,6 +34,7 @@ from util import (
     random_invertible,
     random_unitary,
 )
+from oracles import reference_induces
 
 XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
@@ -393,6 +395,55 @@ def test_induces_accepts_only_the_grids_own_pair():
     assert not induces(tps_new(2, 3, u), a1, b2, DEFAULT_TOL)
 
 
+def _gate_corpus(rng):
+    """(case, t, a1, a2) inputs of the witness gate whose spans have the
+    dimensions k^2, l^2 for the shape k x l of t, as `_witness` calls it."""
+    out = []
+    for k, l in [(1, 4), (4, 1)] + SHAPES + [(5, 5), (6, 6)]:
+        n = k * l
+        u = random_unitary(rng, n)
+        t = tps_new(k, l, u)
+        a1, a2 = tps_to_tpp(t)
+        cases = [("own", t, a1, a2), ("2U", tps_new(k, l, 2 * u), a1, a2)]
+        cases += [(f"witness {seed}", tpskit.algebra._witness(
+            a1, a2, seed, DEFAULT_TOL), a1, a2) for seed in (0, 1, 2)]
+        cases += [(f"rotated {eps}", tps_new(
+            k, l, _near_identity_rotation(rng, n, eps) @ u), a1, a2)
+            for eps in (1e-13, 1e-9, 1e-6)]
+        pq = np.kron(random_invertible(rng, k), random_invertible(rng, l))
+        cases.append(("frame", tps_new(k, l, u @ pq), a1, a2))
+        cases.append(("swapped grid", swap_factors(t), a2, a1))
+        if k == l:
+            cases.append(("swapped pair", t, a2, a1))
+        _, b2 = tps_to_tpp(tps_new(k, l, random_unitary(rng, n)))
+        cases.append(("unrelated partner", t, a1, b2))
+        for frac in (0.01, 0.5, 0.95):
+            near = tps_new(k, l, near_unitary(rng, n, frac))
+            cases.append((f"near unitary {frac}", near, *tps_to_tpp(near)))
+        out += [((k, l) + (case,), *rest) for case, *rest in cases]
+    return out
+
+
+def test_gate_matches_the_frame_conjugation_reference(monkeypatch):
+    corpus = _gate_corpus(np.random.default_rng(66))
+    residual, measured = tpskit.algebra._projection_residual, []
+
+    def recorded(*args):
+        measured.append(residual(*args))
+        return measured[-1]
+
+    monkeypatch.setattr(tpskit.algebra, "_projection_residual", recorded)
+    verdicts = []
+    for case, t, a1, a2 in corpus:
+        want, want_residuals = reference_induces(t, a1, a2, DEFAULT_TOL)
+        measured.clear()
+        verdicts.append(tpskit.algebra._induces(t, a1, a2, DEFAULT_TOL))
+        assert verdicts[-1] == want, case
+        assert len(measured) == len(want_residuals), case
+        assert np.allclose(measured, want_residuals, rtol=0, atol=1e-12), case
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_every_witness_is_inner_product_compatible():
     rng = np.random.default_rng(49)
     for k, l in SHAPES + [(1, 4), (4, 1)]:
@@ -553,9 +604,10 @@ def test_round_trip_takes_one_svd_per_grid(monkeypatch):
     t = tps_new(3, 4, random_unitary(np.random.default_rng(62), 12))
     back = tpp_to_tps(*tps_to_tpp(t))
     assert tps_equivalent(t, back).equivalent
-    # the grid's rank test, the witness's compatibility test, and the
-    # rearrangement of B1^-1 B2 in tps_equivalent; none for the spans
-    assert [args[0].shape for args in calls] == [(12, 12), (12, 12), (9, 16)]
+    # the grid's rank test and the rearrangement of B1^-1 B2 in
+    # tps_equivalent; none for the spans, none for the witness's
+    # compatibility test
+    assert [args[0].shape for args in calls] == [(12, 12), (9, 16)]
 
 
 def test_verdict_checks_are_read_only():

@@ -387,6 +387,7 @@ def test_compatibility_agrees_with_the_gram_test():
             t = tps_new(k, l, b)
             assert is_inner_product_compatible(t) == want, (k, l)
             assert oracles.gram_compatible(t, DEFAULT_TOL) == want, (k, l)
+            assert oracles.singular_compatible(t, DEFAULT_TOL) == want, (k, l)
 
 
 def test_overflowing_solve_is_refused():
