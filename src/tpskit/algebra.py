@@ -33,6 +33,7 @@ from .core import (
     intertwiners,
     numeric_rank,
     phase_fix,
+    pow2_scaled,
 )
 from .errors import (
     DimensionMismatch,
@@ -103,40 +104,37 @@ class TppVerdict:
         object.__setattr__(self, "checks", _ReadOnlyDict(self.checks))
 
 
-def _svd_rows(flat: np.ndarray):
-    """Singular values and right vectors; when the SVD fails to converge it
-    is retried on the triangular factor R of flat = QR, which has the same
-    singular values and right vectors."""
+def _unit_scaled(mats: np.ndarray) -> np.ndarray:
+    """The nonzero matrices of a stack, each scaled to unit Frobenius norm
+    after `pow2_scaled`, so that neither tiny nor huge entries underflow or
+    overflow on the way."""
+    units = [pow2_scaled(m) for m in mats if np.any(m)]
+    return np.array([m / np.linalg.norm(m) for m in units]).reshape(-1, *mats.shape[1:])
+
+
+def _orthonormal_span(mats: np.ndarray, rank_rel: float) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of the span of the given matrices.
+    When the SVD fails to converge it is retried on the triangular factor R
+    of flat = QR, which has the same singular values and right vectors."""
+    m, n, _ = mats.shape
+    flat = mats.reshape(m, n * n)
     try:
         _, s, vh = np.linalg.svd(flat, full_matrices=False)
     except np.linalg.LinAlgError:
         _, s, vh = np.linalg.svd(np.linalg.qr(flat, mode="r"),
                                  full_matrices=False)
-    return s, vh
-
-
-def _orthonormal_span(mats: np.ndarray, rank_rel: float) -> np.ndarray:
-    """Orthonormal (Frobenius) basis of the span of the given matrices."""
-    m, n, _ = mats.shape
-    flat = mats.reshape(m, -1)
-    s, vh = _svd_rows(flat)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, n, n), dtype=np.complex128)
     keep = s > rank_rel * s[0]
     return vh[keep].reshape(-1, n, n)
 
 
-def _project_out(cands: np.ndarray, flat_basis: np.ndarray) -> np.ndarray:
-    """Components of candidate matrices orthogonal to an orthonormal span."""
-    m = cands.shape[0]
-    flat = cands.reshape(m, -1)
+def _projection_residual(mats: np.ndarray, flat_basis: np.ndarray) -> float:
+    """Norm of the components of the matrices orthogonal to an orthonormal span."""
+    flat = mats.reshape(mats.shape[0], -1)
     if flat_basis.shape[0]:
         flat = flat - (flat @ flat_basis.conj().T) @ flat_basis
-    return flat.reshape(cands.shape)
-
-
-def _projection_residual(mats: np.ndarray, flat_basis: np.ndarray) -> float:
-    return float(np.linalg.norm(_project_out(mats, flat_basis)))
+    return float(np.linalg.norm(flat))
 
 
 def _span_bound(dim: int) -> float:
@@ -156,9 +154,15 @@ def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebr
     """Smallest multiplication-closed span containing the generators and
     the identity.
 
-    Grows the span by multiplying fresh directions against the current basis
-    and re-orthonormalizing until the dimension stabilizes (or hits n^2, at
-    which point the algebra is everything).
+    One closure rule: each nonzero generator is scaled to unit Frobenius norm
+    (`_unit_scaled`), and the span, starting from the identity, is replaced
+    each round by the orthonormal span of itself and its left products with
+    every unit, until its dimension stops growing or reaches n^2.  The span
+    holds the identity and is closed under left multiplication by each
+    generator, so it holds every word in them.  Its rows are orthonormal, so
+    the largest singular value of a round's stack is at least 1: the rank
+    cutoff (tol.rank_rel relative to it) does not depend on the generators'
+    scales, and the dimension never shrinks.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -167,29 +171,19 @@ def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebr
     for g in gens:
         if g.shape != (n, n):
             raise DimensionMismatch("generators must share a square shape")
-    basis = _orthonormal_span(np.array(gens + [np.eye(n, dtype=np.complex128)]),
-                              tol.rank_rel)
-    fresh = basis
-    while fresh.shape[0] and basis.shape[0] < n * n:
-        prods = np.concatenate([
-            np.einsum("aij,bjk->abik", fresh, basis).reshape(-1, n, n),
-            np.einsum("aij,bjk->abik", basis, fresh).reshape(-1, n, n),
-        ])
-        resid = _project_out(prods, basis.reshape(basis.shape[0], -1))
-        s, vh = _svd_rows(resid.reshape(resid.shape[0], -1))
-        # cutoff relative to the product magnitudes, not to the residual
-        # itself: a fully-closed span leaves only rounding noise behind
-        scale = max(float(np.linalg.norm(prods)), 1.0)
-        keep = s > tol.rank_rel * scale
-        fresh = vh[keep].reshape(-1, n, n)
-        if fresh.shape[0]:
-            basis = np.concatenate([basis, fresh])
-    return _algebra(basis[: n * n], n)
+    units = _unit_scaled(np.array(gens))
+    basis, dim = np.eye(n, dtype=np.complex128)[None] / np.sqrt(n), 0
+    while dim < basis.shape[0] < n * n:
+        dim = basis.shape[0]
+        basis = _orthonormal_span(np.concatenate(
+            [basis, (units[:, None] @ basis).reshape(-1, n, n)]), tol.rank_rel)
+    return _algebra(basis, n)
 
 
 def _from_closed_span(mats: np.ndarray, n: int, tol: Tolerance) -> OperatorAlgebra:
-    """Wrap matrices known to span a multiplicatively closed set."""
-    return _algebra(_orthonormal_span(mats, tol.rank_rel), n)
+    """Wrap matrices known to span a multiplicatively closed set, each
+    scaled to unit norm first (`_unit_scaled`)."""
+    return _algebra(_orthonormal_span(_unit_scaled(mats), tol.rank_rel), n)
 
 
 def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:

@@ -63,6 +63,52 @@ def test_generate_idempotent():
     assert span_equal(a, again)
 
 
+def _known_dimension_corpus(rng, n):
+    """(name, generators, dimension of the algebra they generate) at size n."""
+    def gauss():
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    yield "generic", [gauss()], n
+    h = gauss()
+    yield "hermitian", [h + h.conj().T], n
+    m = (n + 1) // 2  # each of 1..m once or twice on the diagonal
+    yield "diagonal", [np.diag(rng.permutation(np.arange(n) % m + 1.0))], m
+    yield "jordan", [2 * np.eye(n) + np.eye(n, k=1)], n
+    yield "upper", [np.triu(gauss()), np.triu(gauss())], n * (n + 1) // 2
+    u = random_unitary(rng, n)
+    for k in range(2, n):
+        if n % k == 0:  # U (M_k ox 1) U^*, from its k^2 matrix units
+            units = np.eye(k * k).reshape(k * k, k, k)
+            yield f"factor {k}", [u @ np.kron(e, np.eye(n // k)) @ u.conj().T
+                                  for e in units], k * k
+    a = n // 2 + 1
+    b = n - a
+
+    def two_blocks():
+        x = np.zeros((n, n), dtype=complex)
+        x[:a, :a] = rng.normal(size=(a, a))
+        x[a:, a:] = rng.normal(size=(b, b))
+        return u @ x @ u.conj().T
+
+    yield f"blocks {a}+{b}", [two_blocks(), two_blocks()], a * a + b * b
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e20])
+def test_generate_known_dimensions(scale):
+    rng = np.random.default_rng(29)
+    for n in range(2, 13):
+        for name, gens, dim in _known_dimension_corpus(rng, n):
+            a = algebra_generate([scale * g for g in gens])
+            assert a.dim == dim and a.unital, (n, name, a.dim)
+            assert all(contains(a, g) for g in gens), (n, name)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_generate_scaled_nilpotent_is_unital(scale):
+    a = algebra_generate([scale * np.array([[0, 1], [0, 0]], dtype=complex)])
+    assert a.dim == 2 and a.unital
+
+
 def test_full_matrix_algebra_from_generic_pair():
     rng = np.random.default_rng(31)
     g1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

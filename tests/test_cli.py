@@ -128,6 +128,29 @@ def test_verify_tpp_exit_codes(tmp_path):
     assert code == 1 and json.loads(out)["is_tpp"] is False
 
 
+def test_verify_tpp_reads_spans_scale_free(tmp_path):
+    # one span matrix a trillion times larger than the others spans the
+    # same algebra, identity included
+    a1, a2 = tps_to_tpp(god_given(2, 3))
+    scaled = algebra_to_json(a1)
+    scaled["span"][0] = matrix_to_json(1e12 * a1.span_basis[0])
+    f1 = write_json(tmp_path / "a1.json", scaled)
+    f2 = write_json(tmp_path / "a2.json", algebra_to_json(a2))
+    code, out, err = run_cli(["verify-tpp", "--a1", f1, "--a2", f2])
+    assert code == 0 and err == ""
+    verdict = json.loads(out)
+    assert verdict["is_tpp"] and (verdict["k"], verdict["l"]) == (2, 3)
+
+
+def test_verify_tpp_zero_span_exits_2(tmp_path):
+    # a zero matrix spans nothing, so the span lacks the identity and is
+    # refused as input, not as a failed certificate
+    a2 = write_json(tmp_path / "a2.json", algebra_to_json(tps_to_tpp(god_given(2, 2))[1]))
+    zero = write_json(tmp_path / "zero.json", {"n": 4, "span": [matrix_to_json(np.zeros((4, 4)))]})
+    code, out, err = run_cli(["verify-tpp", "--a1", zero, "--a2", a2])
+    assert code == 2 and out == "" and err.startswith("NonUnital: ")
+
+
 def test_input_errors_exit_2(tmp_path):
     code, _, err = run_cli(["analyze", "--state", "missing.json",
                             "--tps", "missing.json"])

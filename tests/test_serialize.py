@@ -57,6 +57,16 @@ def test_algebra_round_trip_preserves_span():
     assert span_equal(back, a1)
 
 
+def test_algebra_from_json_reads_the_span_scale_free():
+    a1, _ = tps_to_tpp(god_given(2, 3))
+    obj = algebra_to_json(a1)
+    scales = np.geomspace(1e-200, 1e200, a1.dim)
+    obj["span"] = [matrix_to_json(c * m) for c, m in zip(scales, a1.span_basis)]
+    back = algebra_from_json(_through_json(obj))
+    assert back.dim == a1.dim and back.unital
+    assert span_equal(back, a1)
+
+
 def test_vector_from_json_rejects_wide_matrix():
     obj = matrix_to_json(np.eye(2))
     with pytest.raises(InputError):
