@@ -95,10 +95,11 @@ def cluster_values(values: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
         else np.argsort(values)
     # single linkage: square the proximity relation (reflexive, so each
     # squaring doubles the path length) until it is transitively closed, then
-    # label each value by the lowest index it reaches
-    links, reach = 0, dist <= threshold
+    # label each value by the lowest index it reaches; the relation is held
+    # as a float64 0/1 matrix, because a bool matmul does not use BLAS
+    links, reach = 0, (dist <= threshold).astype(np.float64)
     while (grown := np.count_nonzero(reach)) != links:
-        links, reach = grown, reach @ reach
+        links, reach = grown, ((reach @ reach) > 0).astype(np.float64)
     labels = np.argmax(reach, axis=1).tolist()
     # clusters in order of their first member along the sort order
     groups: dict[int, list[int]] = {}

@@ -38,7 +38,7 @@ from .errors import (
     NotComplementary,
     NotDiagonalizable,
 )
-from .tps import Tps, tps_new
+from .tps import Tps, _unitary_tps, tps_new
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,12 +144,17 @@ def _characteristic_sets(p: ObservablePair,
     grid = np.empty((n, n), dtype=np.complex128)
     grid[:, (labels * l + np.arange(l)[:, None]).reshape(-1)] = phase_fix(
         cells / np.linalg.norm(cells, axis=0))
-    s = np.linalg.svd(grid, compute_uv=False)
-    if not p.hermitian and s[0] >= COND_LIMIT * s[-1]:
-        raise NotDiagonalizable(
-            "joint eigenvector grid too ill-conditioned to trust")
-    if singular_rank(s, tol) < n:
-        raise JointDegeneracy("joint eigenvectors are not linearly independent")
+    # a self-adjoint pair's grid is eigh vectors times unitary fiber
+    # rotations, laid out by the permutation checked above: it is unitary,
+    # so it takes no rank test
+    if not p.hermitian:
+        s = np.linalg.svd(grid, compute_uv=False)
+        if s[0] >= COND_LIMIT * s[-1]:
+            raise NotDiagonalizable(
+                "joint eigenvector grid too ill-conditioned to trust")
+        if singular_rank(s, tol) < n:
+            raise JointDegeneracy(
+                "joint eigenvectors are not linearly independent")
 
     n_spaces = grid.reshape(n, k, l).transpose(1, 0, 2)     # (k, n, l)
     if not p.hermitian:
@@ -185,10 +190,14 @@ def tps_from_observables(p: ObservablePair,
     """Tps whose grid basis is the joint eigenvector grid of the pair.
 
     r acts on the result as (diag of its eigenvalues) on the first factor and
-    t likewise on the second; for a self-adjoint pair the basis is unitary.
-    The characteristic sets have already tested the grid's rank.
+    t likewise on the second.  For a self-adjoint pair the basis is unitary
+    by construction (eigh vectors), so its kept inverse is its adjoint;
+    for a general pair the characteristic sets have already tested the
+    grid's rank and conditioning, and the inverse is one LU, on first use.
     """
     cs = verify_standard_complete(p, tol)
+    if p.hermitian:
+        return _unitary_tps(cs.k, cs.l, cs.grid)
     return Tps(dim=cs.k * cs.l, k=cs.k, l=cs.l, basis=cs.grid)
 
 
@@ -210,11 +219,12 @@ def complementary_pair(p: ObservablePair, cs: CharacteristicSets,
 
     Keeps t and replaces r by the chained operator that is no longer normal;
     its joint commutant with r on each shared eigenspace of t is the scalars.
+    The grid's inverse is that of `tps_from_observables`: the adjoint for a
+    self-adjoint pair, one LU otherwise.
     """
-    k, l = cs.k, cs.l
     km = _chain_matrix(np.asarray(cs.r_eigenvalues, dtype=np.complex128))
-    block = np.kron(km, np.eye(l, dtype=np.complex128))
-    r_tilde = cs.grid @ block @ np.linalg.inv(cs.grid)
+    block = np.kron(km, np.eye(cs.l, dtype=np.complex128))
+    r_tilde = cs.grid @ block @ tps_from_observables(p, tol).inverse
     return observable_pair(r_tilde, p.t, tol)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, pow2_scaled
 from .errors import DimensionMismatch, NonCompositeDim, ShapeTooSmall, ZeroState
-from .tps import Tps, tps_new
+from .tps import Tps, _unitary_tps, tps_new
 
 
 def _check_shape(n: int, k: int, l: int):
@@ -72,12 +72,12 @@ def tps_making_state_product(w, k: int, l: int) -> Tps:
     """Structure making the given state a product vector (grid cell (0, 0)).
 
     The basis is a unitary completion of w/||w||, so the grid is
-    inner-product compatible and its conditioning (cond 1) does not depend
-    on the scale of w.
+    inner-product compatible, its conditioning (cond 1) does not depend
+    on the scale of w, and its kept inverse is its adjoint.
     """
     v = as_vector(w)
     _check_shape(v.size, k, l)
-    return Tps(dim=v.size, k=k, l=l, basis=_unitary_basis(v))
+    return _unitary_tps(k, l, _unitary_basis(v))
 
 
 def _check_entangling(k: int, l: int):
@@ -89,13 +89,13 @@ def _repaired(basis: np.ndarray, k: int, l: int) -> Tps:
     """The state-product basis with three cells re-paired: cells (0, 1) and
     (1, 0) get (c0 +- c1)/sqrt 2 for c0 = w/||w|| in cell (0, 0) and c1 in
     cell (0, 1), and cell (0, 0) gets cell (1, 0).  A 2 x 2 unitary mix, so
-    the basis stays unitary, and w has coefficient ||w||/sqrt 2 on two
-    cells."""
+    the basis stays unitary (its kept inverse is its adjoint), and w has
+    coefficient ||w||/sqrt 2 on two cells."""
     b = np.array(basis)
     c0, c1 = b[:, 0], b[:, 1]
     b[:, [0, 1, l]] = np.column_stack([b[:, l], (c0 + c1) / np.sqrt(2.0),
                                        (c0 - c1) / np.sqrt(2.0)])
-    return Tps(dim=k * l, k=k, l=l, basis=b)
+    return _unitary_tps(k, l, b)
 
 
 def tps_making_state_entangled(w, k: int, l: int) -> Tps:

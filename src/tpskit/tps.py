@@ -52,8 +52,11 @@ class Tps:
 
     @property
     def inverse(self) -> np.ndarray:
-        """B^-1 for the basis B, read-only; computed once, on first use, and
-        shared by every coefficient solve on this grid (see `_solve`)."""
+        """B^-1 for the basis B, read-only, shared by every coefficient solve
+        on this grid (see `_solve`).  A grid that is unitary by construction
+        (the refactor makers, a self-adjoint observable pair, `god_given`)
+        keeps its adjoint B^*, set when it is built; any other grid, and a
+        pickled copy, computes it once by an LU inverse, on first use."""
         x = self._inverse
         if x is None:
             x = np.linalg.inv(self.basis)
@@ -95,17 +98,31 @@ def tps_new(k: int, l: int, basis, tol: Tolerance = DEFAULT_TOL) -> Tps:
     return t
 
 
+def _unitary_tps(k: int, l: int, basis) -> Tps:
+    """A Tps on a basis that is unitary by construction, whose kept inverse
+    is its read-only adjoint B^*: no rank test and no LU factorization.
+    For grids built from orthonormal columns only (a Householder
+    completion, eigh vectors, the identity); a grid of unknown unitarity
+    goes through `tps_new`."""
+    t = Tps(dim=k * l, k=k, l=l, basis=basis)
+    adjoint = t.basis.conj()
+    adjoint.flags.writeable = False
+    object.__setattr__(t, "_inverse", adjoint.T)
+    return t
+
+
 def god_given(k: int, l: int) -> Tps:
     """The identity-basis Tps of shape (k, l)."""
-    n = k * l
-    return Tps(dim=n, k=k, l=l, basis=np.eye(n, dtype=np.complex128))
+    return _unitary_tps(k, l, np.eye(k * l, dtype=np.complex128))
 
 
 def _solve(t: Tps, rhs: np.ndarray) -> np.ndarray:
-    """B^-1 rhs from the kept inverse X: x = X rhs, refined once to
-    x + X (rhs - B x), so each solve is three O(n^2) products per column.
-    The refinement step brings the error of the plain product X rhs back
-    to that of an LU solve.  Raises ValueError when the result overflows."""
+    """B^-1 rhs from the kept inverse X (an LU inverse, or B^* for a
+    unitary grid): x = X rhs, refined once to x + X (rhs - B x), so each
+    solve is three O(n^2) products per column.  The refinement step brings
+    the error of the plain product X rhs back to that of an LU solve, and
+    corrects the rounding by which B^* misses B^-1 as well.  Raises
+    ValueError when the result overflows."""
     x_inv = t.inverse
     with np.errstate(over="ignore", invalid="ignore"):
         x = x_inv @ rhs

@@ -148,6 +148,32 @@ def substitute_exact(coeffs, subs, target_vars, target_degree):
     return out
 
 
+def single_linkage_clusters(values, eig_cluster):
+    """Reference single linkage by pairwise union-find: values closer than
+    eig_cluster * (spread + 1) share a cluster, spread being the diameter
+    of the set; clusters (lists of indices) come in order of their first
+    member along the (re, im) sort order, as `core.cluster_values` returns
+    them."""
+    values = np.asarray(values)
+    n = values.size
+    dist = np.abs(values[:, None] - values[None, :])
+    threshold = eig_cluster * (float(np.max(dist, initial=0.0)) + 1.0)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in zip(*np.nonzero(np.triu(dist <= threshold, 1))):
+        parent[find(int(a))] = find(int(b))
+    groups = {}
+    for i in np.lexsort((values.imag, values.real)):
+        groups.setdefault(find(int(i)), []).append(int(i))
+    return list(groups.values())
+
+
 # -- reference characteristic sets: one eigendecomposition of each operator
 # and a per-fiber matching loop
 

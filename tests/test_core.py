@@ -14,6 +14,7 @@ from tpskit.core import (
 )
 from tpskit.errors import DimensionMismatch
 
+from oracles import single_linkage_clusters
 from util import random_invertible, random_unitary
 
 
@@ -79,42 +80,19 @@ def test_cluster_values_links_chains():
     assert [g.tolist() for g in groups] == [[2, 4, 5, 0, 3], [1]]
 
 
-def _cluster_by_union_find(values, tol):
-    """Reference single linkage: pairwise union-find, clusters in order of
-    their first member along the (re, im) sort order."""
-    n = values.size
-    dist = np.abs(values[:, None] - values[None, :])
-    threshold = tol.eig_cluster * (float(np.max(dist)) + 1.0)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if dist[a, b] <= threshold:
-                parent[find(a)] = find(b)
-    groups = {}
-    for i in np.lexsort((values.imag, values.real)):
-        groups.setdefault(find(i), []).append(int(i))
-    return list(groups.values())
-
-
 def test_cluster_values_matches_union_find():
     rng = np.random.default_rng(9)
-    for trial in range(300):
-        n = int(rng.integers(1, 40))
+    for trial in range(600):
+        n = int(rng.integers(1, 80))
         if trial % 3 == 0:
             vals = np.round(rng.normal(size=n), 1) + 1e-12 * rng.normal(size=n)
         elif trial % 3 == 1:
             vals = np.round(rng.normal(size=n) + 1j * rng.normal(size=n), 1)
         else:  # chains whose steps straddle the gap threshold
             vals = rng.permutation(np.cumsum(rng.choice([5e-9, 2e-8, 1.0], size=n)))
-        tol = Tolerance(eig_cluster=float(rng.choice([1e-8, 1e-2])))
-        got = [g.tolist() for g in cluster_values(vals, tol)]
-        assert got == _cluster_by_union_find(vals, tol)
+        eig_cluster = float(rng.choice([1e-10, 1e-8, 1e-4, 1e-2, 1e-1]))
+        got = [g.tolist() for g in cluster_values(vals, Tolerance(eig_cluster=eig_cluster))]
+        assert got == single_linkage_clusters(vals, eig_cluster), (trial, eig_cluster)
 
 
 def _assert_frobenius_orthonormal(xs):

@@ -407,8 +407,25 @@ def test_observable_grid_takes_one_svd(monkeypatch, unitary):
     tps = tps_from_observables(p)
     assert tps.shape == (3, 4)
     np.testing.assert_array_equal(tps.basis, verify_standard_complete(p).grid)
-    # the grid's rank test in the characteristic sets, none in building the Tps
-    assert [args[0].shape for args in calls] == [(12, 12)]
+    # a general grid's rank test in the characteristic sets, none in building
+    # the Tps; a self-adjoint pair's grid is unitary by construction
+    assert [args[0].shape for args in calls] == ([] if unitary else [(12, 12)])
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_complementary_pair_factors_the_grid_once(monkeypatch, unitary):
+    r, t = random_standard_pair(np.random.default_rng(61), 2, 3, unitary)
+    p1 = observable_pair(r, t)
+    cs = verify_standard_complete(p1)
+    chained = np.kron(_chain_matrix(cs.r_eigenvalues.astype(complex)), np.eye(3))
+    reference = cs.grid @ chained @ np.linalg.inv(cs.grid)
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    p2 = complementary_pair(p1, cs)
+    # the grid's inverse is that of its Tps: the adjoint of a self-adjoint
+    # pair's unitary grid, one LU otherwise
+    assert len(inverses) == (0 if unitary else 1)
+    assert np.linalg.norm(p2.r - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert verify_complementary(p1, p2)
 
 
 @pytest.mark.parametrize("unitary", [True, False])

@@ -17,7 +17,14 @@ from tpskit import (
     tps_new,
 )
 from tpskit.algebra import span_equal, tpp_to_tps, tps_to_tpp
-from tpskit.core import DEFAULT_TOL
+from tpskit.core import DEFAULT_TOL, singular_rank
+from tpskit.observables import observable_pair, tps_from_observables
+from tpskit.poly import poly_tps
+from tpskit.refactor import (
+    dual_verdict,
+    tps_making_state_entangled,
+    tps_making_state_product,
+)
 from tpskit.errors import DimensionMismatch, SingularBasis, ZeroState
 from tpskit.tps import Tps
 
@@ -27,6 +34,7 @@ from util import (
     forbid_algebra,
     near_unitary,
     random_invertible,
+    random_standard_pair,
     random_state,
     random_unitary,
 )
@@ -356,6 +364,71 @@ def test_one_inverse_per_grid(monkeypatch):
         schmidt(random_state(rng, 6), t)
     assert tps_equivalent(t, witness).equivalent
     assert len(inverses) == 1 and len(solves) == 0
+
+
+_UNITARY_SHAPES = [(2, 2), (2, 3), (3, 4), (5, 5), (6, 7), (8, 8)]
+
+
+def _unitary_makers(rng, k, l):
+    """Grid makers whose bases are unitary by construction, by name."""
+    w = random_state(rng, k * l)
+    r, t = random_standard_pair(rng, k, l)
+    makers = {
+        "product": lambda: tps_making_state_product(w, k, l),
+        "entangled": lambda: tps_making_state_entangled(w, k, l),
+        "dual_product": lambda: dual_verdict(w, k, l)[0],
+        "dual_entangled": lambda: dual_verdict(w, k, l)[1],
+        "observables": lambda: tps_from_observables(observable_pair(r, t)),
+        "god_given": lambda: god_given(k, l),
+    }
+    if k == l:
+        makers["poly"] = lambda: poly_tps(("X", "x"), k)
+    return makers
+
+
+@pytest.mark.parametrize("k, l", _UNITARY_SHAPES)
+def test_unitary_grids_keep_their_adjoint(monkeypatch, k, l):
+    rng = np.random.default_rng(31)
+    for name, make in _unitary_makers(rng, k, l).items():
+        states = [random_state(rng, k * l) for _ in range(6)]
+        inverses = count_calls(monkeypatch, np.linalg, "inv")
+        t = make()
+        for w in states:
+            schmidt(w, t)
+        assert inverses == [], name
+        monkeypatch.undo()
+        assert np.array_equal(t.inverse, t.basis.conj().T), name
+        with pytest.raises(ValueError):
+            t.inverse[0, 0] = 0
+        assert t.inverse is t.inverse
+        # a pickled copy is built through __init__ and takes an LU inverse
+        twin = pickle.loads(pickle.dumps(t))
+        assert twin._inverse is None
+        assert np.linalg.norm(twin.inverse - t.inverse) <= 1e-12, name
+
+
+@pytest.mark.parametrize("k, l", _UNITARY_SHAPES)
+def test_unitary_grids_solve_like_lu(k, l):
+    # ranks and coefficients from the adjoint agree with an LU solve at any
+    # scale of the state
+    rng = np.random.default_rng(32)
+    for name, make in _unitary_makers(rng, k, l).items():
+        t = make()
+        for rank in range(1, min(k, l) + 1):
+            c = sum(np.outer(random_state(rng, k), random_state(rng, l))
+                    for _ in range(rank))
+            w = t.basis @ c.reshape(-1)
+            for alpha in (1e-300, 1.0, 1e300):
+                v = alpha * w
+                want = np.linalg.solve(t.basis, v).reshape(k, l)
+                got = coefficient_matrix(v, t)
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-12 * np.max(np.abs(want)), (name, alpha)
+                s = np.linalg.svd(want, compute_uv=False)
+                report = schmidt(v, t)
+                assert report.rank == singular_rank(s) == rank, (name, alpha)
+                assert np.allclose(report.coefficients, s[:report.rank],
+                                   rtol=1e-12, atol=0), (name, alpha)
 
 
 def test_true_ranks_at_cond_1e6():
