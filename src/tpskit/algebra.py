@@ -46,8 +46,9 @@ from .tps import Tps, is_inner_product_compatible
 
 @dataclass(frozen=True, eq=False)
 class OperatorAlgebra:
-    """A multiplication-closed span of n x n matrices.  span_basis is a
-    private read-only copy, so the verdicts kept in _memo (by partner and
+    """A multiplication-closed span of n x n matrices.  span_basis is
+    private and read-only (a copy of the one given, or a span this module
+    built, see `_owning`), so the verdicts kept in _memo (by partner and
     Tolerance) stay valid."""
 
     dim_space: int                 # n: algebra elements are n x n
@@ -59,6 +60,15 @@ class OperatorAlgebra:
         basis = np.array(self.span_basis, dtype=np.complex128)
         basis.flags.writeable = False
         object.__setattr__(self, "span_basis", basis)
+
+    @classmethod
+    def _owning(cls, n: int, basis: np.ndarray, unital: bool) -> OperatorAlgebra:
+        """An algebra on a fresh complex128 basis that nothing else holds,
+        made read-only in place rather than copied (this module's builders)."""
+        a = cls.__new__(cls)
+        basis.flags.writeable = False
+        a.__dict__.update(dim_space=n, span_basis=basis, unital=unital, _memo={})
+        return a
 
     @property
     def dim(self) -> int:
@@ -143,11 +153,12 @@ def _span_bound(dim: int) -> float:
 
 
 def _algebra(basis: np.ndarray, n: int) -> OperatorAlgebra:
-    """Wrap an orthonormal span basis, recording whether it holds the identity."""
+    """Wrap a fresh orthonormal span basis without a copy, recording whether
+    it holds the identity."""
     unital = _projection_residual(
         np.eye(n, dtype=np.complex128)[None], basis.reshape(basis.shape[0], n * n)
     ) <= 1e-8
-    return OperatorAlgebra(dim_space=n, span_basis=basis, unital=unital)
+    return OperatorAlgebra._owning(n, basis, unital)
 
 
 def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -278,7 +289,7 @@ def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     for span in _grid_spans(t.basis, t.inverse, t.k, t.l):
         basis = _lowdin(span)
         pair.append(_from_closed_span(span, t.dim, tol) if basis is None else
-                    OperatorAlgebra(dim_space=t.dim, span_basis=basis, unital=True))
+                    OperatorAlgebra._owning(t.dim, basis, True))
     return tuple(pair)
 
 

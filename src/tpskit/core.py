@@ -7,11 +7,12 @@ normalized to ``(n,)`` internally where convenient).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NumericOverflow
 
 COND_LIMIT = 1e6  # eigenvector conditioning guard for non-Hermitian input
 
@@ -110,9 +111,13 @@ def cluster_values(values: np.ndarray, tol: Tolerance) -> list[np.ndarray]:
 
 def singular_rank(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of descending singular values above ``rank_rel`` times the
-    largest one."""
+    largest one.  Raises NumericOverflow (a ValueError) when the largest is
+    not finite: the SVD of a finite matrix overflowed, and its rank is not
+    measured."""
     if s.size == 0 or s[0] == 0.0:
         return 0
+    if not math.isfinite(s[0]):
+        raise NumericOverflow("singular values overflow: the largest is not finite")
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 

@@ -21,6 +21,10 @@ class ZeroState(TpskitError):
     pass
 
 
+class NumericOverflow(TpskitError, ValueError):
+    """A finite input whose solve or singular values leave the float range."""
+
+
 class NonUnital(TpskitError):
     pass
 

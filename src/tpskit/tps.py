@@ -9,11 +9,13 @@ which coordinates themselves carry the factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, singular_rank
-from .errors import ConvergenceFailure, DimensionMismatch, SingularBasis, ZeroState
+from .errors import (ConvergenceFailure, DimensionMismatch, NumericOverflow,
+                     SingularBasis, ZeroState)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +77,32 @@ class Tps:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtReport:
+    """Rank and coefficients from a values-only SVD of the coefficient
+    matrix, which is kept as a private read-only copy; the singular vectors
+    come from one SVD of it with vectors, on first access to either."""
+
     rank: int
     coefficients: np.ndarray        # descending, strictly positive
-    left_vectors: np.ndarray        # k x rank
-    right_vectors: np.ndarray       # l x rank
+    _c: np.ndarray = field(repr=False)  # k x l
+
+    @property
+    def left_vectors(self) -> np.ndarray:
+        """k x rank, read-only."""
+        return self._vectors[0]
+
+    @property
+    def right_vectors(self) -> np.ndarray:
+        """l x rank, read-only."""
+        return self._vectors[1]
+
+    @cached_property
+    def _vectors(self) -> tuple:
+        try:
+            u, _, vh = np.linalg.svd(self._c, full_matrices=False)
+        except np.linalg.LinAlgError as e:  # pragma: no cover
+            raise ConvergenceFailure(str(e)) from e
+        u.flags.writeable = vh.flags.writeable = False
+        return u[:, :self.rank], vh[:self.rank].T
 
 
 @dataclass(frozen=True)
@@ -122,21 +146,28 @@ def _solve(t: Tps, rhs: np.ndarray) -> np.ndarray:
     solve is three O(n^2) products per column.  The refinement step brings
     the error of the plain product X rhs back to that of an LU solve, and
     corrects the rounding by which B^* misses B^-1 as well.  Raises
-    ValueError when the result overflows."""
+    NumericOverflow (a ValueError) when the result is not finite."""
     x_inv = t.inverse
     with np.errstate(over="ignore", invalid="ignore"):
         x = x_inv @ rhs
         x += x_inv @ (rhs - t.basis @ x)
     if not np.isfinite(x).all():
-        raise ValueError("coefficients overflow: the solve is not finite")
+        raise NumericOverflow("coefficients overflow: the solve is not finite")
     return x
 
 
 def coefficient_matrix(w, t: Tps) -> np.ndarray:
     """k-by-l matrix C with ``t.basis @ vec(C) = w`` (vec in j*l+i order),
     one refined product with the grid's kept inverse (`Tps.inverse`).
-    Raises ValueError when w is not finite or the solve overflows."""
-    return _solve(t, as_vector(w, n=t.dim)).reshape(t.k, t.l)
+    Raises ValueError when w is not finite or the solve overflows.  A
+    non-finite w makes the solve non-finite, so the solve's own test is the
+    one finiteness pass: w is checked only when the solve fails."""
+    w = np.asarray(w, dtype=np.complex128).reshape(-1)
+    try:
+        return _solve(t, w).reshape(t.k, t.l)
+    except ValueError:  # refuse a w of the wrong length, or not finite, as such
+        as_vector(w, n=t.dim)
+        raise
 
 
 def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
@@ -144,23 +175,26 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
 
     The rank is the numeric rank of the coefficient matrix; coefficients are
     its nonzero singular values, and ``sum_m sigma_m * outer(u_m, v_m)``
-    reconstructs the coefficient matrix.
+    reconstructs the coefficient matrix.  Raises ValueError when w is not
+    finite or its coefficients or their singular values overflow.
     """
     return coefficient_schmidt(coefficient_matrix(w, t), tol)
 
 
 def coefficient_schmidt(c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     """Schmidt data of a finite coefficient matrix, such as the one
-    `coefficient_matrix` returns."""
+    `coefficient_matrix` returns, from one values-only SVD; the report
+    keeps a copy of c for its singular vectors."""
+    c = np.array(c)
+    c.flags.writeable = False
     try:
-        u, s, vh = np.linalg.svd(c, full_matrices=False)
+        s = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover
         raise ConvergenceFailure(str(e)) from e
     r = singular_rank(s, tol)
     if r == 0:
         raise ZeroState("cannot classify the zero vector")
-    return SchmidtReport(rank=r, coefficients=s[:r], left_vectors=u[:, :r],
-                         right_vectors=vh[:r].T)
+    return SchmidtReport(rank=r, coefficients=s[:r], _c=c)
 
 
 def is_product(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:

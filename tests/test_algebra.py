@@ -714,3 +714,24 @@ def test_span_basis_copies_a_read_only_view():
         basis[0, 0, 0] = 5
         assert a.span_basis[0, 0, 0] != 5
 
+
+def test_builders_hand_their_spans_over_read_only(monkeypatch):
+    # the spans that tps_to_tpp, _from_closed_span and algebra_generate
+    # build are theirs alone: the algebra keeps each one, read-only, as it is
+    made = []
+    for name in ("_lowdin", "_orthonormal_span"):
+        def spy(*args, build=getattr(tpskit.algebra, name)):
+            made.append(build(*args))
+            return made[-1]
+        monkeypatch.setattr(tpskit.algebra, name, spy)
+    rng = np.random.default_rng(66)
+    algebras = [*tps_to_tpp(tps_new(2, 3, random_unitary(rng, 6))),  # Loewdin
+                *tps_to_tpp(tps_new(2, 3, random_invertible(rng, 6)))]  # SVD
+    spans = [m for m in made if m is not None]
+    algebras.append(algebra_generate([np.diag([1.0, 2.0, 3.0])]))
+    spans.append(made[-1])
+    assert len(spans) == len(algebras) == 5
+    for a, span in zip(algebras, spans):
+        assert a.span_basis is span
+        with pytest.raises(ValueError):
+            a.span_basis[0, 0, 0] = 0

@@ -59,6 +59,16 @@ def test_analyze_overflowing_solve_exits_2(tmp_path):
     assert err.count("\n") == 1 and err.startswith("InputError: ")
 
 
+def test_analyze_overflowing_singular_values_exits_2(tmp_path):
+    # the coefficients 1e308 are finite, their singular value 2e308 is not:
+    # an input error, not the zero state
+    state = state_file(tmp_path, "state.json", 1e308 * np.ones(4))
+    tps = write_json(tmp_path / "tps.json", tps_to_json(god_given(2, 2)))
+    code, out, err = run_cli(["analyze", "--state", state, "--tps", tps])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("NumericOverflow: ")
+
+
 def test_analyze_solves_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(82)
     b, w = random_invertible(rng, 6), rng.normal(size=6) + 1j * rng.normal(size=6)

@@ -11,8 +11,9 @@ from tpskit.core import (
     intertwiners,
     numeric_rank,
     phase_fix,
+    singular_rank,
 )
-from tpskit.errors import DimensionMismatch
+from tpskit.errors import DimensionMismatch, NumericOverflow, TpskitError
 
 from oracles import single_linkage_clusters
 from util import random_invertible, random_unitary
@@ -56,6 +57,20 @@ def test_numeric_rank_unitary_invariant():
         u1 = random_unitary(rng, n)
         u2 = random_unitary(rng, n)
         assert numeric_rank(u1 @ m @ u2) == r
+
+
+def test_overflowing_singular_values_have_no_rank():
+    # a non-finite top singular value is refused, not counted as rank 0
+    for s in ([np.inf, 1.0], [np.nan, 1.0], [np.inf, np.inf]):
+        with pytest.raises(NumericOverflow, match="overflow"):
+            singular_rank(np.array(s))
+    assert issubclass(NumericOverflow, ValueError)
+    assert issubclass(NumericOverflow, TpskitError)
+    assert singular_rank(np.array([0.0, 0.0])) == 0
+    assert singular_rank(np.array([1e308, 1e300, 1e297])) == 2
+    with pytest.raises(NumericOverflow):
+        numeric_rank(1e308 * np.ones((3, 3)))
+    assert numeric_rank(1e307 * np.ones((3, 3))) == 1
 
 
 def test_cluster_values_grouping():

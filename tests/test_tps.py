@@ -25,7 +25,7 @@ from tpskit.refactor import (
     tps_making_state_entangled,
     tps_making_state_product,
 )
-from tpskit.errors import DimensionMismatch, SingularBasis, ZeroState
+from tpskit.errors import DimensionMismatch, NumericOverflow, SingularBasis, ZeroState
 from tpskit.tps import Tps
 
 import oracles
@@ -471,3 +471,117 @@ def test_overflowing_solve_is_refused():
     for call in (coefficient_matrix, schmidt, is_product):
         with pytest.raises(ValueError, match="overflow"):
             call(w, t)
+
+
+def _svd_keywords(monkeypatch):
+    """The keyword arguments of every np.linalg.svd call from now on."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_schmidt_takes_one_values_only_svd(monkeypatch):
+    rng = np.random.default_rng(33)
+    for k, l in ((2, 2), (3, 4)):
+        t = tps_new(k, l, random_invertible(rng, k * l))
+        w = random_state(rng, k * l)
+        calls = _svd_keywords(monkeypatch)
+        report = schmidt(w, t)
+        assert is_product(w, t) is (report.rank == 1)
+        assert calls == [{"compute_uv": False}] * 2
+        # the vectors take one more SVD, however often either is read
+        for _ in range(3):
+            left, right = report.left_vectors, report.right_vectors
+        assert calls[2:] == [{"full_matrices": False}]
+        monkeypatch.undo()
+        u, _, vh = np.linalg.svd(coefficient_matrix(w, t), full_matrices=False)
+        assert np.array_equal(left, u[:, :report.rank])
+        assert np.array_equal(right, vh[:report.rank].T)
+        for v in (left, right):
+            with pytest.raises(ValueError):
+                v[0, 0] = 0
+
+
+def test_coefficient_schmidt_keeps_its_own_copy():
+    rng = np.random.default_rng(34)
+    c = sum(np.outer(random_state(rng, 3), random_state(rng, 4)) for _ in range(2))
+    s = np.linalg.svd(c, compute_uv=False)
+    u, _, vh = np.linalg.svd(c, full_matrices=False)
+    report = coefficient_schmidt(c)
+    c[:] = 0
+    assert report.rank == 2 and np.array_equal(report.coefficients, s[:2])
+    assert np.array_equal(report.left_vectors, u[:, :2])
+    assert np.array_equal(report.right_vectors, vh[:2].T)
+
+
+def test_values_only_ranks_match_the_full_svd():
+    # rank and coefficients from the values-only SVD against those of the
+    # SVD with vectors, for states of every rank at scales 1e-300 .. 1e300
+    # in grids of condition number 1 .. 1e6
+    rng = np.random.default_rng(35)
+    for k, l in ((2, 2), (2, 3), (3, 3), (3, 5), (4, 4), (5, 6), (6, 6),
+                 (7, 8), (8, 8)):
+        for cond in (1.0, 1e3, 1e6):
+            t = tps_new(k, l, _conditioned(rng, k * l, cond))
+            for rank in range(1, min(k, l) + 1):
+                c = sum(np.outer(random_state(rng, k), random_state(rng, l))
+                        for _ in range(rank))
+                w = t.basis @ c.reshape(-1)
+                for alpha in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+                    report = schmidt(alpha * w, t)
+                    u, s, vh = np.linalg.svd(coefficient_matrix(alpha * w, t),
+                                             full_matrices=False)
+                    r = singular_rank(s)
+                    assert report.rank == r == rank, (k, l, cond, rank, alpha)
+                    assert np.allclose(report.coefficients, s[:r], rtol=1e-12, atol=0)
+                    assert np.array_equal(report.left_vectors, u[:, :r])
+                    assert np.array_equal(report.right_vectors, vh[:r].T)
+
+
+@pytest.mark.parametrize("k, l", [(2, 2), (3, 3)])
+def test_overflowing_singular_values_are_refused(k, l):
+    # the coefficients 1e308 are finite, but their singular value
+    # sqrt(k l) 1e308 is not: an overflow, not the zero state
+    t = god_given(k, l)
+    w = 1e308 * np.ones(k * l)
+    c = coefficient_matrix(w, t)
+    assert np.isfinite(c).all()
+    for call in (lambda: schmidt(w, t), lambda: is_product(w, t),
+                 lambda: coefficient_schmidt(c)):
+        with pytest.raises(NumericOverflow, match="overflow"):
+            call()
+    assert schmidt(w / 10, t).rank == 1
+
+
+def test_tps_new_refuses_a_basis_whose_singular_values_overflow():
+    # 1e308 times a 4 x 4 Hadamard matrix is invertible, but its singular
+    # values 2e308 are not finite, so its rank is not measured
+    h = np.array([[1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(NumericOverflow, match="overflow"):
+        tps_new(2, 2, 1e308 * np.kron(h, h))
+    assert tps_new(2, 2, 1e307 * np.kron(h, h)).shape == (2, 2)
+
+
+def test_a_solve_tests_finiteness_once(monkeypatch):
+    rng = np.random.default_rng(36)
+    t = tps_new(2, 3, random_invertible(rng, 6))
+    w = random_state(rng, 6)
+    t.inverse  # its LU is taken before counting
+    calls = count_calls(monkeypatch, np, "isfinite")
+    schmidt(w, t)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # a non-finite state is still named as such, not as an overflow
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        v = w.copy()
+        v[1] = bad
+        for grid in (t, god_given(2, 3)):
+            with pytest.raises(ValueError, match="^vector entries must be finite$"):
+                coefficient_matrix(v, grid)
+    with pytest.raises(DimensionMismatch):
+        coefficient_matrix(np.full(5, np.nan), t)
