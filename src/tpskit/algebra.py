@@ -7,11 +7,11 @@ which keeps every structural test at a uniform tolerance.
 
 Factor pairs are certified witness first: a pair is a tensor product
 partition exactly when some grid basis B induces it, so certification builds
-B from generic elements of the pair and checks that B is unitary and that
-the spans of its own generators, as `tps_to_tpp` builds them, are the pair.
-A generic Hermitian element of a star-closed algebra is drawn as the
-Hermitian part of a complex Gaussian combination of its span basis.  Adjoint
-closure is implied by a unitary witness, so it is not checked beforehand.
+B from two generic elements of the second algebra, which alone fixes it, and
+checks that B is unitary and that the spans of its own generators, as
+`tps_to_tpp` builds them, are the pair.  A generic Hermitian element of a
+star-closed algebra is the Hermitian part of a complex Gaussian combination
+of its span basis.  Adjoint closure follows from a unitary witness.
 The six structural checks (commutation, adjoint closure, square dimensions,
 mutual commutants, trivial centers, full join) run only when no witness is
 found, as diagnostics of the failure.  The verdict, witness included, is
@@ -32,7 +32,6 @@ from .core import (
     grid_from_fibers,
     intertwiners,
     numeric_rank,
-    phase_fix,
     pow2_scaled,
 )
 from .errors import (
@@ -60,6 +59,9 @@ class OperatorAlgebra:
         basis = np.array(self.span_basis, dtype=np.complex128)
         basis.flags.writeable = False
         object.__setattr__(self, "span_basis", basis)
+
+    def __reduce__(self):  # rebuilt through __init__: read-only, no verdicts kept
+        return (OperatorAlgebra, (self.dim_space, self.span_basis, self.unital))
 
     @classmethod
     def _owning(cls, n: int, basis: np.ndarray, unital: bool) -> OperatorAlgebra:
@@ -362,16 +364,16 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> Tps | None:
     """A grid basis inducing exactly the pair (a1, a2), or None.
 
-    The eigenvectors of a generic Hermitian t in a2, in eigh's ascending
-    order, are the l fibers as consecutive blocks of k columns, one block per
-    k-fold eigenvalue; the eigenvectors of a generic Hermitian r in a1,
-    compressed to the first fiber, are its k cells.  One generic element of
-    a2 carries that fiber into all the others in one batched product over
-    their (l-1, n, k) stack, which `grid_from_fibers` scales and lays out;
-    when it misses a fiber, the transport is drawn again.  The result
-    is a witness only if it is unitary and induces exactly a1 and a2
-    (`_induces`), the one gate: a pair that is not a factor pair fails it,
-    and it implies all six checks of `_diagnose`, adjoint closure included.
+    Both are read off a2: the eigenvectors of a generic Hermitian t in a2,
+    in eigh's ascending order, are the l fibers as consecutive blocks of k
+    columns, the first fiber's columns are its k cells as they come, and one
+    more generic b in a2 carries that fiber into the others in one batched
+    product, which `grid_from_fibers` scales and lays out.  For a2 = U (1 ox
+    M_l) U^* the grid is U (W_0 ox Psi), W_0 unitary and Psi a unit-modulus
+    diagonal, which induces the pair whatever W_0 is.  The one gate is
+    `_induces` (unitary, inducing exactly a1 and a2): a pair that is not a
+    factor pair fails it, as does a transport that misses a fiber, and it
+    implies all six checks of `_diagnose`, adjoint closure included.
     """
     if a1.dim_space != a2.dim_space:
         raise DimensionMismatch("algebras act on different spaces")
@@ -385,20 +387,11 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     rng = np.random.default_rng(seed)
     vecs = np.linalg.eigh(_draw_generic_hermitian(a2, rng))[1]
     fibers = vecs.reshape(n, l, k).transpose(1, 0, 2)
-    r = _draw_generic_hermitian(a1, rng)
-    f0 = fibers[0]
-    fiber0 = phase_fix(f0 @ np.linalg.eigh(f0.conj().T @ r @ f0)[1])
-
-    rest = fibers[1:]
-    for _ in range(16):
-        b = _draw_generic_hermitian(a2, rng)
-        transported = rest @ (rest.conj().transpose(0, 2, 1) @ (b @ fiber0))
-        if np.all(np.linalg.norm(transported[:, :, 0], axis=1)
-                  > 1e-6 * np.linalg.norm(b)):
-            break
-    else:
-        return None
-
+    fiber0, rest = fibers[0], fibers[1:]
+    b = _draw_generic_hermitian(a2, rng)
+    transported = rest @ (rest.conj().transpose(0, 2, 1) @ (b @ fiber0))
+    if not np.all(np.any(transported[:, :, 0], axis=1)):
+        return None  # nothing to scale: no grid_from_fibers division by zero
     out = Tps(dim=n, k=k, l=l, basis=grid_from_fibers(
         np.concatenate([fiber0[None], transported]), axis=2))
     return out if _induces(out, a1, a2, tol) else None
@@ -431,14 +424,14 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
     """Certify that an ordered algebra pair factors the full matrix algebra.
 
     Witness first: a pair with square span dimensions is certified by
-    building a unitary grid basis U that induces it, checked against the
-    spans of U's own generators (`_induces`), which implies every named
-    check.  Without a witness the six checks are evaluated directly, as
-    diagnostics of the failure: elementwise commutation, closure under
-    adjoints, square span dimensions k^2, l^2 with k*l = n, mutual
-    commutants, trivial centers and a join of full dimension.  Only
-    star-closed pairs are certified; star-closure is implied by the
-    witness, not checked before it.
+    building a unitary grid basis U from two generic elements of a2 alone,
+    checked against the spans of U's own generators for both algebras
+    (`_induces`), which implies every named check.  Without a witness the
+    six checks are evaluated directly, as diagnostics of the failure:
+    elementwise commutation, closure under adjoints, square span dimensions
+    k^2, l^2 with k*l = n, mutual commutants, trivial centers and a join of
+    full dimension.  Only star-closed pairs are certified; star-closure is
+    implied by the witness, not checked before it.
 
     The verdict carries its witness in `tps` (None on a rejection) and is
     kept on a1 per partner a2 and Tolerance: a later `is_tpp` or
@@ -456,9 +449,9 @@ def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
     Returns the certification witness of the pair's verdict (see `is_tpp`),
     which is always an inner-product-compatible (unitary) grid with a
     read-only basis.  The verdict is kept on a1 per partner and Tolerance,
-    so `seed` picks the generic draws (see `_witness`) only for a pair that
-    has no kept verdict yet; any two witnesses are equivalent.  Without a
-    witness: NotATpp names the checks that fail, and GenericElementFailure
+    so `seed` picks the two draws from a2 (see `_witness`) only for a pair
+    that has no kept verdict yet; any two witnesses are equivalent.  Without
+    a witness: NotATpp names the checks that fail, and GenericElementFailure
     means they all pass but the draws found no basis (that outcome is not
     kept, so a call with another seed draws again).
     """

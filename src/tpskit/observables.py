@@ -58,6 +58,9 @@ class ObservablePair:
             m.flags.writeable = False
             object.__setattr__(self, name, m)
 
+    def __reduce__(self):  # rebuilt through __init__: read-only, nothing kept
+        return (ObservablePair, (self.r, self.t, self.hermitian))
+
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicSets:

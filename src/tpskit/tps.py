@@ -85,6 +85,9 @@ class SchmidtReport:
     coefficients: np.ndarray        # descending, strictly positive
     _c: np.ndarray = field(repr=False)  # k x l
 
+    def __reduce__(self):  # rebuilt through __init__, without the kept vectors
+        return (SchmidtReport, (self.rank, self.coefficients, self._c))
+
     @property
     def left_vectors(self) -> np.ndarray:
         """k x rank, read-only."""

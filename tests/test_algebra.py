@@ -375,25 +375,44 @@ def test_generic_hermitian_lies_in_the_algebra():
         assert np.linalg.norm(h) > 0 and contains(a, h)
 
 
-def test_witness_redraws_a_transport_that_misses_a_fiber(monkeypatch):
+def test_a_transport_that_misses_a_fiber_falls_back_to_the_six_checks(monkeypatch):
     rng = np.random.default_rng(46)
     t = tps_new(2, 3, random_unitary(rng, 6))
     a1, a2 = tps_to_tpp(t)
-    draw, drawn_from = tpskit.algebra._draw_generic_hermitian, []
+    draw, drawn = tpskit.algebra._draw_generic_hermitian, []
 
-    def identity_as_first_transport(a, gen):
-        # t is drawn from a2, then r from a1, so the first a2 draw after an
-        # a1 draw is the first transport; the identity moves no fiber
-        drawn_from.append(1 if a is a1 else 2)
-        if drawn_from[-2:] == [1, 2]:
-            return np.eye(6, dtype=complex)
-        return draw(a, gen)
+    def identity_as_transport(a, gen):
+        # t is drawn first, then the transport b; the identity moves no fiber
+        drawn.append(a)
+        return np.eye(6, dtype=complex) if len(drawn) == 2 else draw(a, gen)
 
     monkeypatch.setattr(tpskit.algebra, "_draw_generic_hermitian",
-                        identity_as_first_transport)
-    out = tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL)
-    assert drawn_from[-3:] == [1, 2, 2]
-    assert out is not None and tps_equivalent(t, out).equivalent
+                        identity_as_transport)
+    assert tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL) is None
+    drawn.clear()
+    verdict = is_tpp(a1, a2)
+    assert verdict.is_tpp and verdict.tps is None
+    assert dict(verdict.checks) == dict.fromkeys(tpskit.algebra._CHECKS, True)
+    assert not a1._memo  # certified without a witness: not kept
+    drawn.clear()
+    with pytest.raises(GenericElementFailure):
+        tpp_to_tps(a1, a2, seed=0)
+    monkeypatch.undo()
+    assert tps_equivalent(t, tpp_to_tps(a1, a2, seed=0)).equivalent
+
+
+def test_a_zero_transport_is_refused_before_any_division(monkeypatch):
+    a1, a2 = tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(69), 6)))
+    draw, drawn = tpskit.algebra._draw_generic_hermitian, []
+
+    def zero_as_transport(a, gen):
+        drawn.append(a)
+        return np.zeros((6, 6), dtype=complex) if len(drawn) == 2 else draw(a, gen)
+
+    monkeypatch.setattr(tpskit.algebra, "_draw_generic_hermitian",
+                        zero_as_transport)
+    with np.errstate(all="raise"):
+        assert tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL) is None
 
 
 def test_unitary_factor_pairs_are_certified_without_rebuilding_them(monkeypatch):
@@ -526,12 +545,12 @@ def test_certification_does_not_read_eig_cluster():
         assert tps_equivalent(t, tpp_to_tps(a1, a2, tol=tol)).equivalent
 
 
-def test_abelian_pair_fails_the_witness_after_two_eighs(monkeypatch):
+def test_abelian_pair_fails_the_witness_after_one_eigh(monkeypatch):
     corpus = {name: pair for name, pair, _ in _parity_corpus()}
     a1, a2 = corpus["abelian"]
     calls = count_calls(monkeypatch, np.linalg, "eigh")
     assert tpskit.algebra._witness(a1, a2, 0, DEFAULT_TOL) is None
-    assert len(calls) == 2  # the fibers, then the cells of the first fiber
+    assert len(calls) == 1  # the fibers
     failed = {check for check, ok in is_tpp(a1, a2).checks.items() if not ok}
     assert failed == {"trivial_center", "join_full"}
 
@@ -735,3 +754,33 @@ def test_builders_hand_their_spans_over_read_only(monkeypatch):
         assert a.span_basis is span
         with pytest.raises(ValueError):
             a.span_basis[0, 0, 0] = 0
+
+
+def test_witness_is_read_off_the_second_algebra(monkeypatch):
+    a1, a2 = tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(67), 6)))
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    draws = count_calls(monkeypatch, tpskit.algebra, "_draw_generic_hermitian")
+    fixes = count_calls(monkeypatch, tpskit.core, "phase_fix")
+    verdict = is_tpp(a1, a2)
+    assert verdict.is_tpp and verdict.tps is not None
+    assert len(eighs) == 1  # the fibers; none for cells of the first one
+    assert [args[0] for args in draws] == [a2, a2]
+    assert fixes == [] and "phase_fix" not in vars(tpskit.algebra)
+
+
+def test_copies_of_a_certified_algebra_keep_no_verdicts(monkeypatch):
+    # a copy is rebuilt through __init__: a read-only span of its own and an
+    # empty memo, so it certifies again rather than answer for another span
+    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(68), 4)))
+    assert is_tpp(a1, a2).is_tpp and a1._memo
+    calls = count_calls(monkeypatch, tpskit.algebra, "_witness")
+    for c1, c2 in (pickle.loads(pickle.dumps((a1, a2))), copy.deepcopy((a1, a2)),
+                   (copy.copy(a1), a2)):
+        assert c1.span_basis is not a1.span_basis and not c1._memo
+        assert np.array_equal(c1.span_basis, a1.span_basis)
+        assert (c1.dim_space, c1.unital) == (a1.dim_space, a1.unital)
+        with pytest.raises(ValueError):
+            c1.span_basis[0] = 0
+        calls.clear()
+        assert is_tpp(c1, c2).is_tpp
+        assert len(calls) == 1

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -452,6 +455,24 @@ def test_pair_and_sets_are_read_only():
     # the caller's arrays are copied, not frozen
     r[0, 0] += 1
     assert p.r[0, 0] != r[0, 0]
+
+
+def test_copies_of_a_pair_keep_nothing(monkeypatch):
+    # a copy is rebuilt through __init__: read-only operators of its own and
+    # an empty memo, so it computes its characteristic sets again
+    p = observable_pair(*random_standard_pair(np.random.default_rng(75), 2, 3))
+    grid = verify_standard_complete(p).grid
+    assert p._memo
+    calls = _count_kernel_calls(monkeypatch)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert not twin._memo and twin.hermitian == p.hermitian
+        for arr, orig in ((twin.r, p.r), (twin.t, p.t)):
+            assert arr is not orig and np.array_equal(arr, orig)
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+        calls.clear()
+        assert np.array_equal(verify_standard_complete(twin).grid, grid)
+        assert len(calls) == 1
 
 
 def test_failing_pair_not_memoised(monkeypatch):

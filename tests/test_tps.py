@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 
@@ -503,6 +504,27 @@ def test_schmidt_takes_one_values_only_svd(monkeypatch):
         assert np.array_equal(left, u[:, :report.rank])
         assert np.array_equal(right, vh[:report.rank].T)
         for v in (left, right):
+            with pytest.raises(ValueError):
+                v[0, 0] = 0
+
+
+def test_schmidt_reports_copy_without_their_vectors(monkeypatch):
+    rng = np.random.default_rng(35)
+    t = tps_new(3, 4, random_invertible(rng, 12))
+    report = schmidt(random_state(rng, 12), t)
+    left, right = report.left_vectors, report.right_vectors
+    for twin in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                 copy.deepcopy(report)):
+        assert "_vectors" not in vars(twin)
+        assert twin.rank == report.rank
+        assert np.array_equal(twin.coefficients, report.coefficients)
+        # rebuilt by one SVD on first access, read-only and equal
+        calls = _svd_keywords(monkeypatch)
+        assert np.array_equal(twin.left_vectors, left)
+        assert np.array_equal(twin.right_vectors, right)
+        assert calls == [{"full_matrices": False}]
+        monkeypatch.undo()
+        for v in (twin.left_vectors, twin.right_vectors):
             with pytest.raises(ValueError):
                 v[0, 0] = 0
 
