@@ -8,11 +8,14 @@ commutant on the first subspace and the intertwiners onto it are diagonal,
 one small null-space problem per subspace.  A scalar joint commutant means
 irreducibility only for a self-adjoint pair: the pairs of
 `complementary_pair` generate the reducible upper-triangular algebra on a
-fiber.
+fiber.  A partner built by `complementary_pair` carries its characteristic
+sets, written down from the first pair's, so the kernel runs once per
+complementary round trip.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +41,7 @@ from .errors import (
     NotComplementary,
     NotDiagonalizable,
 )
-from .tps import Tps, _unitary_tps, tps_new
+from .tps import Tps, _unitary_tps, is_inner_product_compatible, tps_new
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +151,16 @@ def _characteristic_sets(p: ObservablePair,
     grid[:, (labels * l + np.arange(l)[:, None]).reshape(-1)] = phase_fix(
         cells / np.linalg.norm(cells, axis=0))
     # a self-adjoint pair's grid is eigh vectors times unitary fiber
-    # rotations, laid out by the permutation checked above: it is unitary,
-    # so it takes no rank test
-    if not p.hermitian:
+    # rotations, laid out by the permutation checked above
+    return _sets_on_grid(r_centers, t_centers, fibers, grid, p.hermitian, tol)
+
+
+def _sets_on_grid(r_centers, t_centers, fibers, grid, unitary: bool,
+                  tol: Tolerance) -> CharacteristicSets:
+    """Read-only sets around a grid, N spanned by its cells at fixed j; a
+    grid not unitary by construction passes a conditioning and rank guard."""
+    n, k, l = grid.shape[0], r_centers.size, t_centers.size
+    if not unitary:
         s = np.linalg.svd(grid, compute_uv=False)
         if s[0] >= COND_LIMIT * s[-1]:
             raise NotDiagonalizable(
@@ -160,7 +170,7 @@ def _characteristic_sets(p: ObservablePair,
                 "joint eigenvectors are not linearly independent")
 
     n_spaces = grid.reshape(n, k, l).transpose(1, 0, 2)     # (k, n, l)
-    if not p.hermitian:
+    if not unitary:
         n_spaces = np.linalg.qr(n_spaces)[0]
     for a in (r_centers, t_centers, fibers, n_spaces, grid):
         a.flags.writeable = False
@@ -180,7 +190,8 @@ def verify_standard_complete(p: ObservablePair,
     multiplicity k, and every joint eigenspace must be one-dimensional; the
     joint eigenvectors, ordered j*l+i, form the grid.  The result is kept on
     the pair, once per tolerance, and its arrays are read-only; a pair that
-    fails is checked again on every call.
+    fails is checked again on every call.  A partner built by
+    `complementary_pair` already carries its sets for that call's tolerance.
     """
     cs = p._memo.get(tol)
     if cs is None:
@@ -223,16 +234,29 @@ def complementary_pair(p: ObservablePair, cs: CharacteristicSets,
     Keeps t and replaces r by the chained operator that is no longer normal;
     its joint commutant with r on each shared eigenspace of t is the scalars.
     The grid's inverse is that of `tps_from_observables`: the adjoint for a
-    self-adjoint pair, one LU otherwise.
+    self-adjoint pair, one LU otherwise.  The partner carries its sets for
+    tol, read off cs: t, M and r's spectrum are unchanged, and cell (j, i)
+    is B (x_j ox e_i) for the chained operator's eigenvectors x_0 = e_0,
+    x_j = e_{j-1} + e_j, unless that grid fails the kernel's guard (the
+    kernel then computes, and refuses, them).
     """
     km = _chain_matrix(np.asarray(cs.r_eigenvalues, dtype=np.complex128))
     block = np.kron(km, np.eye(cs.l, dtype=np.complex128))
     r_tilde = cs.grid @ block @ tps_from_observables(p, tol).inverse
-    return observable_pair(r_tilde, p.t, tol)
+    p2 = observable_pair(r_tilde, p.t, tol)
+    cells = cs.grid.copy()
+    cells[:, cs.l:] += cs.grid[:, :-cs.l]
+    grid = phase_fix(cells / np.linalg.norm(cells, axis=0))
+    with suppress(NotDiagonalizable, JointDegeneracy):
+        p2._memo[tol] = _sets_on_grid(cs.r_eigenvalues, cs.t_eigenvalues,
+                                      cs.M, grid, False, tol)
+    return p2
 
 
 def _match_sets(spaces1, spaces2, thresh: float) -> bool:
     """Whether the two subspace families coincide as unordered sets."""
+    if spaces1 is spaces2:  # a partner's inherited M
+        return True
     if len(spaces1) != len(spaces2):
         return False
     unused = list(range(len(spaces2)))
@@ -341,7 +365,8 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
 
     The grid is the first pair's cells, each fiber scaled by its
     intertwiner onto the first; `grid_from_fibers` fixes the free scalar
-    per fiber and lays the fibers out.
+    per fiber and lays the fibers out.  It keeps its adjoint as its inverse
+    when it is unitary for a self-adjoint first pair, else goes to `tps_new`.
     """
     data = _complementary_data(p1, p2, tol)
     if data is None:
@@ -349,7 +374,9 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     cs, fibers, axis = data
     basis = grid_from_fibers(fibers, axis)
 
-    structure = tps_new(cs.k, cs.l, basis, tol)
+    structure = _unitary_tps(cs.k, cs.l, basis) if p1.hermitian else None
+    if structure is None or not is_inner_product_compatible(structure, tol):
+        structure = tps_new(cs.k, cs.l, basis, tol)
     a1, a2 = tps_to_tpp(structure, tol)
     for op, alg, name in ((p1.r, a1, "r1"), (p2.r, a1, "r2"),
                           (p1.t, a2, "t1"), (p2.t, a2, "t2")):

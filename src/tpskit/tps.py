@@ -78,12 +78,16 @@ class Tps:
 @dataclass(frozen=True, eq=False)
 class SchmidtReport:
     """Rank and coefficients from a values-only SVD of the coefficient
-    matrix, which is kept as a private read-only copy; the singular vectors
-    come from one SVD of it with vectors, on first access to either."""
+    matrix, which is kept as a private copy; the singular vectors come from
+    one SVD of it with vectors, on first access to either.  Its arrays are
+    read-only, made so when it is built."""
 
     rank: int
     coefficients: np.ndarray        # descending, strictly positive
     _c: np.ndarray = field(repr=False)  # k x l
+
+    def __post_init__(self):  # so a copy or an unpickled report is too
+        self.coefficients.flags.writeable = self._c.flags.writeable = False
 
     def __reduce__(self):  # rebuilt through __init__, without the kept vectors
         return (SchmidtReport, (self.rank, self.coefficients, self._c))
@@ -189,7 +193,6 @@ def coefficient_schmidt(c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchmidtR
     `coefficient_matrix` returns, from one values-only SVD; the report
     keeps a copy of c for its singular vectors."""
     c = np.array(c)
-    c.flags.writeable = False
     try:
         s = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as e:  # pragma: no cover

@@ -386,7 +386,70 @@ def test_kernel_runs_once_per_pair(monkeypatch):
     p2 = complementary_pair(p1, verify_standard_complete(p1))
     assert verify_complementary(p1, p2)
     tpp_from_complementary(p1, p2)
-    assert len(calls) == 2 and calls[0] is p1 and calls[1] is p2
+    # the partner carries its sets from p1's
+    assert len(calls) == 1 and calls[0] is p1
+
+
+def _pair_on_basis(rng, k, l, cond):
+    """A general commuting pair whose joint eigenvector grid has singular
+    values log-evenly from 1 to 1/cond."""
+    n = k * l
+    g = (random_unitary(rng, n) * np.logspace(0, -np.log10(cond), n)) \
+        @ random_unitary(rng, n)
+    lam = np.arange(k) + rng.uniform(0.1, 0.4, size=k)
+    mu = np.arange(l) + rng.uniform(0.1, 0.4, size=l)
+    gi = np.linalg.inv(g)
+    return observable_pair(g @ np.kron(np.diag(lam), np.eye(l)) @ gi,
+                           g @ np.kron(np.eye(k), np.diag(mu)) @ gi)
+
+
+def _inheriting_pairs():
+    """(p1, p2) with p2 built by `complementary_pair`: the corpus's own and
+    general first pairs with cond(B) from 1 to 1e2."""
+    for kind, p1, p2 in complementary_corpus(np.random.default_rng(1003)):
+        if kind in ("chain_M", "scaled_r"):
+            yield p1, p2
+    rng = np.random.default_rng(1004)
+    for cond in (1.0, 10.0, 1e2):
+        for k, l in ((2, 2), (2, 3), (3, 2), (3, 4), (4, 4)):
+            p1 = _pair_on_basis(rng, k, l, cond)
+            yield p1, complementary_pair(p1, verify_standard_complete(p1))
+
+
+def test_partner_carries_the_kernels_sets():
+    for p1, p2 in _inheriting_pairs():
+        case = (p1.r.shape, p1.hermitian)
+        cs1, got = verify_standard_complete(p1), p2._memo[DEFAULT_TOL]
+        want = tpskit.observables._characteristic_sets(p2, DEFAULT_TOL)
+        assert got.M is cs1.M, case
+        assert (got.k, got.l) == (want.k, want.l), case
+        # relative to the spectrum: the scaled_r pairs reach 1e5
+        for a, b in ((got.r_eigenvalues, want.r_eigenvalues),
+                     (got.t_eigenvalues, want.t_eigenvalues)):
+            bound = 1e-12 * max(1.0, np.max(np.abs(b)))
+            assert a.shape == b.shape and np.max(np.abs(a - b)) <= bound, case
+        assert np.max(np.abs(got.grid - want.grid)) <= 1e-10, case
+        for fam_got, fam_want in ((got.M, want.M), (got.N, want.N)):
+            assert len(fam_got) == len(fam_want), case
+            for a, b in zip(fam_got, fam_want):
+                assert subspace_residual(a, b) <= 1e-10, case
+        for arr in (got.grid, got.N):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+def test_partner_failing_the_grid_guard_keeps_no_sets(monkeypatch):
+    # a self-adjoint p1 takes no conditioning guard; the partner's chained
+    # 2x3 grid has cond > 2, so it is refused as the kernel refuses it
+    monkeypatch.setattr(tpskit.observables, "COND_LIMIT", 2.0)
+    calls = _count_kernel_calls(monkeypatch)
+    p1 = observable_pair(*random_standard_pair(np.random.default_rng(55), 2, 3))
+    p2 = complementary_pair(p1, verify_standard_complete(p1))
+    assert not p2._memo
+    for _ in range(2):
+        with pytest.raises(NotDiagonalizable):
+            verify_standard_complete(p2)
+    assert calls == [p1, p2, p2] and not p2._memo
 
 
 def test_other_tolerance_recomputes(monkeypatch):
@@ -429,6 +492,24 @@ def test_complementary_pair_factors_the_grid_once(monkeypatch, unitary):
     assert len(inverses) == (0 if unitary else 1)
     assert np.linalg.norm(p2.r - reference) <= 1e-12 * np.linalg.norm(reference)
     assert verify_complementary(p1, p2)
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_complementary_grid_of_a_self_adjoint_pair_keeps_its_adjoint(
+        monkeypatch, unitary):
+    r, t = random_standard_pair(np.random.default_rng(62), 2, 3, unitary)
+    p1 = observable_pair(r, t)
+    p2 = complementary_pair(p1, verify_standard_complete(p1))
+    assert verify_complementary(p1, p2)
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    _, _, structure = tpp_from_complementary(p1, p2)
+    # a unitary grid takes no rank test and no LU; a general one the rank
+    # test of tps_new, its LU and two SVDs in tps_to_tpp, as before
+    assert (len(inverses), len(svds)) == ((0, 0) if unitary else (1, 3))
+    if unitary:
+        np.testing.assert_array_equal(structure.inverse,
+                                      structure.basis.conj().T)
 
 
 @pytest.mark.parametrize("unitary", [True, False])

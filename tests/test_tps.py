@@ -529,6 +529,22 @@ def test_schmidt_reports_copy_without_their_vectors(monkeypatch):
                 v[0, 0] = 0
 
 
+def test_schmidt_report_arrays_are_read_only():
+    rng = np.random.default_rng(36)
+    t = tps_new(3, 4, random_invertible(rng, 12))
+    report = schmidt(random_state(rng, 12), t)
+    twins = (pickle.loads(pickle.dumps(report)), copy.copy(report),
+             copy.deepcopy(report))
+    for r in (report,) + twins:
+        assert np.array_equal(r.coefficients, report.coefficients)
+        for arr in (r.coefficients, r._c):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+    # writes that fail leave the report as it was
+    assert np.array_equal(report.coefficients,
+                          np.linalg.svd(report._c, compute_uv=False)[:report.rank])
+
+
 def test_coefficient_schmidt_keeps_its_own_copy():
     rng = np.random.default_rng(34)
     c = sum(np.outer(random_state(rng, 3), random_state(rng, 4)) for _ in range(2))
