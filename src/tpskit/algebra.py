@@ -21,12 +21,15 @@ and then building its grid runs the certification once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    Frozen,
     Tolerance,
     as_matrix,
     grid_from_fibers,
@@ -44,42 +47,27 @@ from .tps import Tps, is_inner_product_compatible
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorAlgebra:
+class OperatorAlgebra(Frozen):
     """A multiplication-closed span of n x n matrices.  span_basis is
     private and read-only (a copy of the one given, or a span this module
-    built, see `_owning`), so the verdicts kept in _memo (by partner and
-    Tolerance) stay valid."""
+    built and hands over with `_owning`), so the verdicts kept in _memo (by
+    partner, held by weak reference, then Tolerance) stay valid."""
 
-    dim_space: int                 # n: algebra elements are n x n
     span_basis: np.ndarray         # (dim, n, n), Frobenius-orthonormal
-    unital: bool
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    dim = property(lambda self: self.span_basis.shape[0])
+    dim_space = property(lambda self: self.span_basis.shape[1])  # n
+    _memo = cached_property(lambda self: weakref.WeakKeyDictionary())
 
-    def __post_init__(self):
-        basis = np.array(self.span_basis, dtype=np.complex128)
-        basis.flags.writeable = False
-        object.__setattr__(self, "span_basis", basis)
-
-    def __reduce__(self):  # rebuilt through __init__: read-only, no verdicts kept
-        return (OperatorAlgebra, (self.dim_space, self.span_basis, self.unital))
-
-    @classmethod
-    def _owning(cls, n: int, basis: np.ndarray, unital: bool) -> OperatorAlgebra:
-        """An algebra on a fresh complex128 basis that nothing else holds,
-        made read-only in place rather than copied (this module's builders)."""
-        a = cls.__new__(cls)
-        basis.flags.writeable = False
-        a.__dict__.update(dim_space=n, span_basis=basis, unital=unital, _memo={})
-        return a
-
-    @property
-    def dim(self) -> int:
-        return self.span_basis.shape[0]
+    @cached_property
+    def unital(self) -> bool:
+        """Whether the span holds the identity, to a residual of 1e-8."""
+        eye = np.eye(self.dim_space, dtype=np.complex128)
+        return _projection_residual(eye[None], self.flat) <= 1e-8
 
     @property
     def flat(self) -> np.ndarray:
         """Span basis as orthonormal rows of shape (dim, n*n)."""
-        return self.span_basis.reshape(self.dim, -1)
+        return self.span_basis.reshape(self.dim, self.dim_space ** 2)
 
 
 # the named checks of a TppVerdict, in report order
@@ -106,7 +94,6 @@ class TppVerdict:
     """checks is a read-only private copy, so a verdict kept in a1._memo
     cannot be altered through the one it was returned as."""
 
-    is_tpp: bool
     k: int
     l: int
     checks: dict
@@ -114,6 +101,10 @@ class TppVerdict:
 
     def __post_init__(self):
         object.__setattr__(self, "checks", _ReadOnlyDict(self.checks))
+
+    @property
+    def is_tpp(self) -> bool:
+        return all(self.checks.values())
 
 
 def _unit_scaled(mats: np.ndarray) -> np.ndarray:
@@ -154,15 +145,6 @@ def _span_bound(dim: int) -> float:
     return 1e-8 * np.sqrt(max(dim, 1))
 
 
-def _algebra(basis: np.ndarray, n: int) -> OperatorAlgebra:
-    """Wrap a fresh orthonormal span basis without a copy, recording whether
-    it holds the identity."""
-    unital = _projection_residual(
-        np.eye(n, dtype=np.complex128)[None], basis.reshape(basis.shape[0], n * n)
-    ) <= 1e-8
-    return OperatorAlgebra._owning(n, basis, unital)
-
-
 def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     """Smallest multiplication-closed span containing the generators and
     the identity.
@@ -190,13 +172,14 @@ def algebra_generate(generators, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebr
         dim = basis.shape[0]
         basis = _orthonormal_span(np.concatenate(
             [basis, (units[:, None] @ basis).reshape(-1, n, n)]), tol.rank_rel)
-    return _algebra(basis, n)
+    return OperatorAlgebra._owning(span_basis=basis)
 
 
-def _from_closed_span(mats: np.ndarray, n: int, tol: Tolerance) -> OperatorAlgebra:
+def _from_closed_span(mats: np.ndarray, tol: Tolerance) -> OperatorAlgebra:
     """Wrap matrices known to span a multiplicatively closed set, each
     scaled to unit norm first (`_unit_scaled`)."""
-    return _algebra(_orthonormal_span(_unit_scaled(mats), tol.rank_rel), n)
+    return OperatorAlgebra._owning(
+        span_basis=_orthonormal_span(_unit_scaled(mats), tol.rank_rel))
 
 
 def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -211,7 +194,7 @@ def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgeb
     worst = np.zeros(xs.shape[0])
     for g in a.span_basis:
         worst = np.maximum(worst, np.linalg.norm(g @ xs - xs @ g, axis=(1, 2)))
-    return _algebra(xs[worst <= 1e-7], a.dim_space)
+    return OperatorAlgebra._owning(span_basis=xs[worst <= 1e-7])
 
 
 def join(a1: OperatorAlgebra, a2: OperatorAlgebra,
@@ -285,13 +268,14 @@ def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     factor, A2 by B (1_k ox E_cd) B^-1, with B the grid basis
     (`_grid_spans`).  Each span holds the identity.  When its k^2 (or l^2)
     generators are nearly orthogonal, as for a unitary or nearly unitary
-    grid, it is orthonormalized by `_lowdin`; otherwise by an SVD.
+    grid, it is orthonormalized by `_lowdin` and marked unital untested;
+    otherwise by an SVD.
     """
     pair = []
     for span in _grid_spans(t.basis, t.inverse, t.k, t.l):
         basis = _lowdin(span)
-        pair.append(_from_closed_span(span, t.dim, tol) if basis is None else
-                    OperatorAlgebra._owning(t.dim, basis, True))
+        pair.append(_from_closed_span(span, tol) if basis is None else
+                    OperatorAlgebra._owning(span_basis=basis, unital=True))
     return tuple(pair)
 
 
@@ -341,7 +325,7 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
 
     checks = {name: bool(v) for name, v in checks.items()}
     k, l = dims if dims is not None else (0, 0)
-    return TppVerdict(is_tpp=all(checks.values()), k=k, l=l, checks=checks)
+    return TppVerdict(k=k, l=l, checks=checks)
 
 
 def _induces(t: Tps, a1: OperatorAlgebra, a2: OperatorAlgebra,
@@ -392,30 +376,28 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     transported = rest @ (rest.conj().transpose(0, 2, 1) @ (b @ fiber0))
     if not np.all(np.any(transported[:, :, 0], axis=1)):
         return None  # nothing to scale: no grid_from_fibers division by zero
-    out = Tps(dim=n, k=k, l=l, basis=grid_from_fibers(
+    out = Tps._owning(k=k, l=l, basis=grid_from_fibers(
         np.concatenate([fiber0[None], transported]), axis=2))
     return out if _induces(out, a1, a2, tol) else None
 
 
 def _certify(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> TppVerdict:
-    """The verdict of the pair, kept in a1._memo[(a2, tol)]: the witness
+    """The verdict of the pair, kept in a1._memo[a2][tol]: the witness
     drawn from `seed` when there is one, else the six checks of `_diagnose`.
     A pair that passes all six checks without a witness is not kept, so the
     next call draws again; a refused input raises and is not kept either."""
-    key = (a2, tol)
-    verdict = a1._memo.get(key)
+    verdict = a1._memo.get(a2, {}).get(tol)
     if verdict is not None:
         return verdict
     t = _witness(a1, a2, seed, tol)
     if t is not None:
-        verdict = TppVerdict(is_tpp=True, k=t.k, l=t.l,
-                             checks=dict.fromkeys(_CHECKS, True), tps=t)
+        verdict = TppVerdict(k=t.k, l=t.l, checks=dict.fromkeys(_CHECKS, True), tps=t)
     else:
         verdict = _diagnose(a1, a2, tol)
         if verdict.is_tpp:
             return verdict
-    a1._memo[key] = verdict
+    a1._memo.setdefault(a2, {})[tol] = verdict
     return verdict
 
 
@@ -436,8 +418,8 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
     The verdict carries its witness in `tps` (None on a rejection) and is
     kept on a1 per partner a2 and Tolerance: a later `is_tpp` or
     `tpp_to_tps` of the same pair returns it without certifying again.  A
-    pair with no kept verdict is drawn from seed 0.  a1._memo is not
-    bounded: it keeps every partner, and its verdict, for the life of a1.
+    pair with no kept verdict is drawn from seed 0.  a1._memo holds each
+    partner by weak reference, so its verdicts go when the partner does.
     """
     return _certify(a1, a2, 0, tol)
 

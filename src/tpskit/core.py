@@ -8,7 +8,7 @@ normalized to ``(n,)`` internally where convenient).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,35 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+@dataclass(frozen=True, eq=False)
+class Frozen:
+    """Base of the value types, compared by identity: each field annotated
+    ``np.ndarray`` is a private read-only copy of the array given, and a
+    copy, pickle or `dataclasses.replace`, rebuilt through ``__init__``,
+    keeps no cached property of the original."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in ("np.ndarray", np.ndarray):
+                a = np.array(getattr(self, f.name))
+                a.flags.writeable = False
+                object.__setattr__(self, f.name, a)
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+    @classmethod
+    def _owning(cls, **values):
+        """Hold fresh or read-only arrays themselves, made read-only in place,
+        with no copy and no check; a value for a cached property seeds it."""
+        obj = cls.__new__(cls)
+        for v in values.values():
+            if isinstance(v, np.ndarray):
+                v.flags.writeable = False
+        obj.__dict__.update(values)
+        return obj
 
 
 def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:

@@ -15,8 +15,10 @@ complementary round trip.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .algebra import contains, tps_to_tpp
 from .core import (
     COND_LIMIT,
     DEFAULT_TOL,
+    Frozen,
     Tolerance,
     as_matrix,
     cluster_values,
@@ -45,35 +48,27 @@ from .tps import Tps, _unitary_tps, is_inner_product_compatible, tps_new
 
 
 @dataclass(frozen=True, eq=False)
-class ObservablePair:
+class ObservablePair(Frozen):
     """A commuting operator pair.  r and t are private read-only copies, so
-    the characteristic sets kept in _memo (by Tolerance) and the
-    complementarity data (by partner and Tolerance) stay valid."""
+    the characteristic sets kept in _memo (by Tolerance) and the data kept
+    in _partners (by weakly held partner, then Tolerance) stay valid."""
 
     r: np.ndarray
     t: np.ndarray
     hermitian: bool  # both self-adjoint: "observables" rather than "operators"
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("r", "t"):
-            m = np.array(getattr(self, name), dtype=np.complex128)
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
-
-    def __reduce__(self):  # rebuilt through __init__: read-only, nothing kept
-        return (ObservablePair, (self.r, self.t, self.hermitian))
+    _memo = cached_property(lambda self: {})
+    _partners = cached_property(lambda self: weakref.WeakKeyDictionary())
 
 
 @dataclass(frozen=True, eq=False)
-class CharacteristicSets:
-    k: int
-    l: int
+class CharacteristicSets(Frozen):
     r_eigenvalues: np.ndarray      # k cluster centers, ascending
     t_eigenvalues: np.ndarray      # l cluster centers, ascending
     M: np.ndarray                  # l stacked subspaces, each n x k orthonormal
     N: np.ndarray                  # k stacked subspaces, each n x l orthonormal
     grid: np.ndarray               # joint eigenvectors, column j*l+i
+    k = property(lambda self: self.r_eigenvalues.size)
+    l = property(lambda self: self.t_eigenvalues.size)
 
 
 def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
@@ -96,10 +91,11 @@ def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
 
 
 def _eigen_tiles(a: np.ndarray, hermitian: bool, tol: Tolerance):
-    """Eigenvalue cluster centers (ascending; real when none has an
-    imaginary part), clusters and eigenvectors of a square matrix, or of an
-    (m, d, d) stack whose eigenvalues are pooled.  The clusters must be
-    equal in size, and of size m for a stack."""
+    """Eigenvalue cluster centers (ascending; real when no imaginary part
+    exceeds 1e-12 times the largest center magnitude), clusters and
+    eigenvectors of a square matrix, or of an (m, d, d) stack whose
+    eigenvalues are pooled.  The clusters must be equal in size, and of
+    size m for a stack."""
     if hermitian:
         vals, vecs = np.linalg.eigh(a)
     else:
@@ -115,7 +111,7 @@ def _eigen_tiles(a: np.ndarray, hermitian: bool, tol: Tolerance):
         raise MultiplicityViolation(
             f"eigenvalue multiplicities {sizes} are not all {size}")
     centers = vals[np.concatenate(clusters)].reshape(len(clusters), -1).mean(axis=1)
-    if not np.iscomplexobj(centers) or np.max(np.abs(centers.imag), initial=0) < 1e-12:
+    if np.max(np.abs(centers.imag)) <= 1e-12 * np.max(np.abs(centers)):
         centers = centers.real
     return centers, clusters, vecs
 
@@ -172,13 +168,8 @@ def _sets_on_grid(r_centers, t_centers, fibers, grid, unitary: bool,
     n_spaces = grid.reshape(n, k, l).transpose(1, 0, 2)     # (k, n, l)
     if not unitary:
         n_spaces = np.linalg.qr(n_spaces)[0]
-    for a in (r_centers, t_centers, fibers, n_spaces, grid):
-        a.flags.writeable = False
-    return CharacteristicSets(
-        k=k, l=l,
-        r_eigenvalues=r_centers, t_eigenvalues=t_centers,
-        M=fibers, N=n_spaces, grid=grid,
-    )
+    return CharacteristicSets._owning(r_eigenvalues=r_centers, t_eigenvalues=t_centers,
+                                      M=fibers, N=n_spaces, grid=grid)
 
 
 def verify_standard_complete(p: ObservablePair,
@@ -212,7 +203,7 @@ def tps_from_observables(p: ObservablePair,
     cs = verify_standard_complete(p, tol)
     if p.hermitian:
         return _unitary_tps(cs.k, cs.l, cs.grid)
-    return Tps(dim=cs.k * cs.l, k=cs.k, l=cs.l, basis=cs.grid)
+    return Tps._owning(k=cs.k, l=cs.l, basis=cs.grid)
 
 
 def _chain_matrix(lams: np.ndarray) -> np.ndarray:
@@ -323,11 +314,11 @@ def _fiber_scales(op2: np.ndarray, spaces: np.ndarray, cells: np.ndarray,
 def _complementary_data(p1: ObservablePair, p2: ObservablePair,
                         tol: Tolerance):
     """The complementarity data of the pair, None included, kept in
-    p1._memo[(p2, tol)]; a pair whose characteristic sets raise is not kept."""
-    key = (p2, tol)
-    if key not in p1._memo:
-        p1._memo[key] = _find_complementary_data(p1, p2, tol)
-    return p1._memo[key]
+    p1._partners[p2][tol]; a pair whose characteristic sets raise is not kept."""
+    if tol not in p1._partners.get(p2, {}):
+        data = _find_complementary_data(p1, p2, tol)
+        p1._partners.setdefault(p2, {})[tol] = data
+    return p1._partners[p2][tol]
 
 
 def _find_complementary_data(p1: ObservablePair, p2: ObservablePair,
@@ -353,8 +344,8 @@ def verify_complementary(p1: ObservablePair, p2: ObservablePair,
     """True iff the pairs share one characteristic family, on which they are
     fiberwise isomorphic with only the scalars as joint commutant.  The data
     is kept on p1 per partner and Tolerance, so `tpp_from_complementary` of
-    the same pair does not test it again.  p1._memo is not bounded: it
-    keeps every partner, and its data, for the life of p1."""
+    the same pair does not test it again.  p1 holds each partner by weak
+    reference, so that data goes when the partner does."""
     return _complementary_data(p1, p2, tol) is not None
 
 

@@ -8,22 +8,22 @@ from math import comb
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix
+from .core import DEFAULT_TOL, Frozen, Tolerance, as_matrix
 from .errors import GridOverflow, ZeroAlpha
 from .tps import Tps, god_given, tps_new
 
 
 @dataclass(frozen=True, eq=False)
-class PolyState:
+class PolyState(Frozen):
     """Polynomial in two variables, truncated to exponents 0..max_degree-1.
 
     ``coeffs[j, i]`` is the coefficient of ``variables[0]**j *
-    variables[1]**i``.
+    variables[1]**i``; it is a private read-only copy.
     """
 
     variables: tuple[str, str]
-    max_degree: int
     coeffs: np.ndarray  # d x d complex
+    max_degree = property(lambda self: self.coeffs.shape[0])
 
     def vector(self) -> np.ndarray:
         """State vector in the j*d+i coordinate ordering."""
@@ -37,8 +37,7 @@ def poly_state(variables, max_degree: int, coeffs) -> PolyState:
     names = (str(variables[0]), str(variables[1]))
     if names[0] == names[1]:
         raise ValueError("the two variables must have different names")
-    c = as_matrix(coeffs, rows=d, cols=d)
-    return PolyState(variables=names, max_degree=d, coeffs=c.copy())
+    return PolyState(variables=names, coeffs=as_matrix(coeffs, rows=d, cols=d))
 
 
 def monomial(variables, max_degree: int, j: int, i: int,

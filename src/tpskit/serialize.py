@@ -123,7 +123,7 @@ def algebra_from_json(obj, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     for idx, m in enumerate(mats):
         if m.shape != (n, n):
             raise InputError(f"field 'span[{idx}]' must be n x n, n = {n}")
-    return _from_closed_span(np.array(mats), n, tol)
+    return _from_closed_span(np.array(mats), tol)
 
 
 def vector_from_json(obj, field: str = "state") -> np.ndarray:

@@ -13,57 +13,47 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_matrix, as_vector, singular_rank
+from .core import DEFAULT_TOL, Frozen, Tolerance, as_matrix, as_vector, singular_rank
 from .errors import (ConvergenceFailure, DimensionMismatch, NumericOverflow,
                      SingularBasis, ZeroState)
 
 
 @dataclass(frozen=True, eq=False)
-class Tps:
-    """A k-by-l grid structure.  basis is a private read-only copy, so the
-    singular values and the inverse kept with it cannot go stale."""
+class Tps(Frozen):
+    """A k-by-l grid structure on C^n, n = k*l, k, l >= 1.  basis is a
+    private read-only n x n copy, so the singular values and the inverse
+    kept with it cannot go stale."""
 
-    dim: int
     k: int
     l: int
     basis: np.ndarray  # n x n, column j*l+i = grid vector (j, i)
-    _singular_values: np.ndarray | None = field(default=None, init=False, repr=False)
-    _inverse: np.ndarray | None = field(default=None, init=False, repr=False)
+    dim = property(lambda self: self.k * self.l)
 
     def __post_init__(self):
-        basis = np.array(self.basis, dtype=np.complex128)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        super().__post_init__()
+        if min(self.k, self.l) < 1 or self.basis.shape != (self.dim, self.dim):
+            raise DimensionMismatch(
+                f"no {self.k}x{self.l} grid has a basis of shape {self.basis.shape}")
 
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy's basis is read-only again
-        return (Tps, (self.dim, self.k, self.l, self.basis))
-
-    @property
+    @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the basis, descending and read-only; computed
         by an SVD once, on first use (`tps_new` uses them for its rank test;
         the grids that the refactor makers build are unitary by construction
         and skip that test)."""
-        s = self._singular_values
-        if s is None:
-            s = np.linalg.svd(self.basis, compute_uv=False)
-            s.flags.writeable = False
-            object.__setattr__(self, "_singular_values", s)
+        s = np.linalg.svd(self.basis, compute_uv=False)
+        s.flags.writeable = False
         return s
 
-    @property
+    @cached_property
     def inverse(self) -> np.ndarray:
         """B^-1 for the basis B, read-only, shared by every coefficient solve
         on this grid (see `_solve`).  A grid that is unitary by construction
         (the refactor makers, a self-adjoint observable pair, `god_given`)
         keeps its adjoint B^*, set when it is built; any other grid, and a
-        pickled copy, computes it once by an LU inverse, on first use."""
-        x = self._inverse
-        if x is None:
-            x = np.linalg.inv(self.basis)
-            x.flags.writeable = False
-            object.__setattr__(self, "_inverse", x)
+        copy, computes it once by an LU inverse, on first use."""
+        x = np.linalg.inv(self.basis)
+        x.flags.writeable = False
         return x
 
     @property
@@ -76,21 +66,15 @@ class Tps:
 
 
 @dataclass(frozen=True, eq=False)
-class SchmidtReport:
-    """Rank and coefficients from a values-only SVD of the coefficient
-    matrix, which is kept as a private copy; the singular vectors come from
-    one SVD of it with vectors, on first access to either.  Its arrays are
-    read-only, made so when it is built."""
+class SchmidtReport(Frozen):
+    """Coefficients from a values-only SVD of the coefficient matrix, which
+    is kept as a private read-only copy; the rank is their number, and the
+    singular vectors come from one SVD of the matrix with vectors, on first
+    access to either."""
 
-    rank: int
     coefficients: np.ndarray        # descending, strictly positive
     _c: np.ndarray = field(repr=False)  # k x l
-
-    def __post_init__(self):  # so a copy or an unpickled report is too
-        self.coefficients.flags.writeable = self._c.flags.writeable = False
-
-    def __reduce__(self):  # rebuilt through __init__, without the kept vectors
-        return (SchmidtReport, (self.rank, self.coefficients, self._c))
+    rank = property(lambda self: self.coefficients.size)
 
     @property
     def left_vectors(self) -> np.ndarray:
@@ -120,26 +104,19 @@ class EquivalenceVerdict:
 
 def tps_new(k: int, l: int, basis, tol: Tolerance = DEFAULT_TOL) -> Tps:
     """Validate and build a Tps with the given grid shape and basis."""
-    if k < 1 or l < 1:
-        raise DimensionMismatch("factor dimensions must be >= 1")
-    n = k * l
-    t = Tps(dim=n, k=k, l=l, basis=as_matrix(basis, rows=n, cols=n))
-    if singular_rank(t.singular_values, tol) < n:
+    t = Tps(k=k, l=l, basis=as_matrix(basis))
+    if singular_rank(t.singular_values, tol) < t.dim:
         raise SingularBasis("basis matrix is numerically singular")
     return t
 
 
 def _unitary_tps(k: int, l: int, basis) -> Tps:
-    """A Tps on a basis that is unitary by construction, whose kept inverse
-    is its read-only adjoint B^*: no rank test and no LU factorization.
-    For grids built from orthonormal columns only (a Householder
-    completion, eigh vectors, the identity); a grid of unknown unitarity
-    goes through `tps_new`."""
-    t = Tps(dim=k * l, k=k, l=l, basis=basis)
-    adjoint = t.basis.conj()
-    adjoint.flags.writeable = False
-    object.__setattr__(t, "_inverse", adjoint.T)
-    return t
+    """A Tps on a basis that is unitary by construction, held without a
+    copy, whose kept inverse is its read-only adjoint B^*: no rank test and
+    no LU factorization.  For grids built from orthonormal columns only (a
+    Householder completion, eigh vectors, the identity); a grid of unknown
+    unitarity goes through `tps_new`."""
+    return Tps._owning(k=k, l=l, basis=basis, inverse=basis.conj().T)
 
 
 def god_given(k: int, l: int) -> Tps:
@@ -191,7 +168,7 @@ def schmidt(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
 def coefficient_schmidt(c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchmidtReport:
     """Schmidt data of a finite coefficient matrix, such as the one
     `coefficient_matrix` returns, from one values-only SVD; the report
-    keeps a copy of c for its singular vectors."""
+    keeps a copy of c, read-only, for its singular vectors."""
     c = np.array(c)
     try:
         s = np.linalg.svd(c, compute_uv=False)
@@ -200,7 +177,7 @@ def coefficient_schmidt(c: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> SchmidtR
     r = singular_rank(s, tol)
     if r == 0:
         raise ZeroState("cannot classify the zero vector")
-    return SchmidtReport(rank=r, coefficients=s[:r], _c=c)
+    return SchmidtReport._owning(coefficients=s[:r], _c=c)
 
 
 def is_product(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -219,7 +196,7 @@ def is_inner_product_compatible(t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
 def swap_factors(t: Tps) -> Tps:
     """Exchange the two factors: shape (l, k), cell (i, j) <- cell (j, i)."""
     perm = np.arange(t.dim).reshape(t.k, t.l).T.reshape(-1)
-    return Tps(dim=t.dim, k=t.l, l=t.k, basis=t.basis[:, perm])
+    return Tps._owning(k=t.l, l=t.k, basis=t.basis[:, perm])
 
 
 def tps_equivalent(t1: Tps, t2: Tps, tol: Tolerance = DEFAULT_TOL) -> EquivalenceVerdict:

@@ -305,7 +305,6 @@ def reference_standard_complete(p, tol):
     if numeric_rank(grid, tol) < n:
         raise JointDegeneracy("joint eigenvectors are not linearly independent")
     return CharacteristicSets(
-        k=k, l=l,
         r_eigenvalues=r_centers, t_eigenvalues=t_centers,
         M=m_spaces, N=n_spaces, grid=grid,
     )

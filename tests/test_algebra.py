@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import sys
 import tracemalloc
@@ -24,6 +25,14 @@ from tpskit import (
 )
 from tpskit.algebra import OperatorAlgebra, TppVerdict, _diagnose, contains
 from tpskit.core import DEFAULT_TOL, Tolerance
+from tpskit.observables import (
+    CharacteristicSets,
+    ObservablePair,
+    observable_pair,
+    verify_standard_complete,
+)
+from tpskit.poly import PolyState, poly_state
+from tpskit.tps import SchmidtReport, Tps
 from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
 
 from util import (
@@ -32,6 +41,7 @@ from util import (
     forbid_algebra,
     near_unitary,
     random_invertible,
+    random_standard_pair,
     random_unitary,
 )
 from oracles import reference_induces
@@ -174,12 +184,15 @@ def test_is_tpp_rejects_abelian_center():
 
 
 def test_is_tpp_requires_unital_inputs():
+    # unital is read off the span, so the span of E_01 cannot claim it
     e01 = np.array([[0, 1], [0, 0]], dtype=complex)
     flat = e01.reshape(1, 2, 2) / np.linalg.norm(e01)
-    nonunital = OperatorAlgebra(dim_space=2, span_basis=flat, unital=False)
+    nonunital = OperatorAlgebra(span_basis=flat)
     other = algebra_generate([np.eye(2, dtype=complex)])
-    with pytest.raises(NonUnital):
-        is_tpp(nonunital, other)
+    assert not nonunital.unital and other.unital
+    for pair in ((nonunital, other), (other, nonunital)):
+        with pytest.raises(NonUnital):
+            is_tpp(*pair)
 
 
 def test_tpp_to_tps_round_trip():
@@ -253,8 +266,7 @@ def test_non_commuting_rejection_forms_no_product_stack():
     # two copies of M_9: all 81 x 81 products x y would take 8.5 MB, and the
     # commutators as much again
     n = 9
-    full = OperatorAlgebra(dim_space=n, span_basis=np.eye(n * n).reshape(-1, n, n),
-                           unital=True)
+    full = OperatorAlgebra(span_basis=np.eye(n * n).reshape(-1, n, n))
     tracemalloc.start()
     try:
         verdict = _diagnose(full, full, DEFAULT_TOL)
@@ -593,13 +605,25 @@ def test_rejected_pair_is_diagnosed_once(monkeypatch):
 def test_other_partner_or_tolerance_recertifies(monkeypatch):
     calls = count_calls(monkeypatch, tpskit.algebra, "_witness")
     a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(52), 4)))
-    twin = OperatorAlgebra(dim_space=4, span_basis=a2.span_basis, unital=True)
+    twin = OperatorAlgebra(span_basis=a2.span_basis)
     loose = Tolerance(eig_cluster=1e-7)
     first = is_tpp(a1, a2)
     assert is_tpp(a1, twin) is not first and len(calls) == 2
     assert is_tpp(a1, a2, loose) is not first and len(calls) == 3
     assert is_tpp(a1, a2) is first and is_tpp(a1, a2, Tolerance(eig_cluster=1e-7)).is_tpp
     assert len(calls) == 3
+
+
+def test_partner_verdicts_go_with_their_partners():
+    # a1 holds its partners by weak reference: a verdict lives as long as
+    # its partner
+    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(55), 4)))
+    partners = [OperatorAlgebra(span_basis=a2.span_basis) for _ in range(50)]
+    verdicts = [is_tpp(a1, b) for b in partners]
+    assert len(a1._memo) == 50 and all(v.is_tpp for v in verdicts)
+    del partners
+    gc.collect()
+    assert not a1._memo
 
 
 def test_pair_without_witness_is_drawn_again(monkeypatch):
@@ -612,12 +636,37 @@ def test_pair_without_witness_is_drawn_again(monkeypatch):
 
 
 def test_span_basis_is_a_read_only_copy():
-    basis = np.eye(2, dtype=complex).reshape(1, 2, 2) / np.sqrt(2)
-    a = OperatorAlgebra(dim_space=2, span_basis=basis, unital=True)
-    with pytest.raises(ValueError):
-        a.span_basis[0] = 0
-    basis[0, 0, 0] = 5
-    assert a.span_basis[0, 0, 0] != 5
+    # as is every array field of every value type, whether its constructor
+    # copies the caller's array or a builder hands over a fresh one
+    rng = np.random.default_rng(69)
+    p = observable_pair(*random_standard_pair(rng, 2, 3))
+    cs = verify_standard_complete(p)
+    given = [
+        (OperatorAlgebra,
+         {"span_basis": np.eye(2, dtype=complex).reshape(1, 2, 2) / np.sqrt(2)}),
+        (Tps, {"k": 2, "l": 3, "basis": random_invertible(rng, 6)}),
+        (SchmidtReport, {"coefficients": np.array([2.0, 1.0]), "_c": np.diag([2.0, 1.0])}),
+        (ObservablePair, {"r": np.array(p.r), "t": np.array(p.t), "hermitian": True}),
+        (CharacteristicSets,
+         {f.name: np.array(getattr(cs, f.name)) for f in dataclasses.fields(cs)}),
+        (PolyState, {"variables": ("x1", "x2"), "coeffs": np.ones((3, 3), dtype=complex)}),
+    ]
+    for cls, args in given:
+        made = cls(**args)
+        for name, arr in args.items():
+            if isinstance(arr, np.ndarray):
+                kept, first = getattr(made, name), (0,) * arr.ndim
+                assert np.array_equal(kept, arr), (cls, name)
+                with pytest.raises(ValueError):
+                    kept[first] = 5
+                arr[first] = 5  # the caller's array is copied, not frozen
+                assert kept[first] != 5, (cls, name)
+    coeffs = np.ones((3, 3), dtype=complex)
+    for made in (poly_state(("x1", "x2"), 3, coeffs), cs, *tps_to_tpp(god_given(2, 2))):
+        for arr in vars(made).values():
+            if isinstance(arr, np.ndarray):
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 5
 
 
 def test_build_after_certify_returns_the_verdicts_witness():
@@ -649,7 +698,7 @@ def test_compatible_grid_spans_are_orthonormal_unital_svd_spans():
             for a, gens in zip(tps_to_tpp(t), _factor_spans(t)):
                 gram = a.flat @ a.flat.conj().T
                 assert np.linalg.norm(gram - np.eye(a.dim)) <= 1e-12, (k, l)
-                ref = tpskit.algebra._from_closed_span(gens, n, DEFAULT_TOL)
+                ref = tpskit.algebra._from_closed_span(gens, DEFAULT_TOL)
                 assert a.dim == ref.dim == gens.shape[0], (k, l)
                 assert span_equal(a, ref), (k, l)
                 assert a.unital and contains(a, np.eye(n)), (k, l)
@@ -686,9 +735,9 @@ def test_verdict_checks_are_read_only():
         again = is_tpp(*pair)
         assert again is verdict and dict(again.checks) == expected
     checks = dict.fromkeys(tpskit.algebra._CHECKS, True)
-    verdict = TppVerdict(is_tpp=True, k=2, l=2, checks=checks)
+    verdict = TppVerdict(k=2, l=2, checks=checks)
     checks["commute"] = False
-    assert verdict.checks["commute"]
+    assert verdict.checks["commute"] and verdict.is_tpp
 
 
 def test_ill_conditioned_grid_spans_do_not_depend_on_the_tolerance():
@@ -704,7 +753,7 @@ def test_ill_conditioned_grid_spans_do_not_depend_on_the_tolerance():
             assert np.all(np.isfinite(a.flat))
             gram = a.flat @ a.flat.conj().T
             assert np.linalg.norm(gram - np.eye(a.dim)) <= 1e-12
-            ref = tpskit.algebra._from_closed_span(gens, 4, tol)
+            ref = tpskit.algebra._from_closed_span(gens, tol)
             assert a.dim == ref.dim == 4 and a.unital == ref.unital
             assert span_equal(a, ref)
 
@@ -729,7 +778,7 @@ def test_span_basis_copies_a_read_only_view():
         basis = np.eye(2, dtype=complex).reshape(1, 2, 2) / np.sqrt(2)
         view = basis[:]
         view.flags.writeable = writeable
-        a = OperatorAlgebra(dim_space=2, span_basis=view, unital=True)
+        a = OperatorAlgebra(span_basis=view)
         basis[0, 0, 0] = 5
         assert a.span_basis[0, 0, 0] != 5
 

@@ -1,6 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tpskit import (
+    is_tpp,
+    observable_pair,
+    poly_state,
+    schmidt,
+    tps_new,
+    tps_to_tpp,
+    verify_standard_complete,
+)
 from tpskit.core import (
     DEFAULT_TOL,
     Tolerance,
@@ -16,7 +27,7 @@ from tpskit.core import (
 from tpskit.errors import DimensionMismatch, NumericOverflow, TpskitError
 
 from oracles import single_linkage_clusters
-from util import random_invertible, random_unitary
+from util import random_invertible, random_standard_pair, random_state, random_unitary
 
 
 def test_tolerance_validation():
@@ -219,3 +230,30 @@ def test_non_finite_real_or_imaginary_part_is_refused(bad):
             as_matrix(entries.reshape(2, 2))
         with pytest.raises(ValueError, match="^vector entries must be finite$"):
             as_vector(entries)
+
+
+def test_derived_values_are_read_only_properties():
+    # values the data fixes are read off it: a constructor refuses them, and
+    # they cannot be set
+    rng = np.random.default_rng(78)
+    t = tps_new(2, 3, random_unitary(rng, 6))
+    a1, a2 = tps_to_tpp(t)
+    p = observable_pair(*random_standard_pair(rng, 2, 3))
+    derived = [
+        (t, "dim", 6),
+        (a1, "dim_space", 6),
+        (a1, "unital", True),
+        (is_tpp(a1, a2), "is_tpp", True),
+        (schmidt(random_state(rng, 6), t), "rank", 2),
+        (verify_standard_complete(p), "k", 2),
+        (verify_standard_complete(p), "l", 3),
+        (poly_state(("x1", "x2"), 3, np.eye(3)), "max_degree", 3),
+    ]
+    for obj, name, value in derived:
+        assert getattr(obj, name) == value, name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, not value)
+        args = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        assert getattr(type(obj)(**args), name) == value, name
+        with pytest.raises(TypeError, match=name):
+            type(obj)(**args, **{name: value})

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 
 import numpy as np
@@ -301,6 +302,22 @@ def test_rescaled_commuting_pair_keeps_its_tag(unitary):
         assert observable_pair(alpha * r, alpha * t).hermitian is unitary
 
 
+def test_cluster_centers_are_real_at_any_scale():
+    # a real spectrum gives real centers, measured against the largest one,
+    # so they scale with the pair and do not turn complex at large scales
+    rng = np.random.default_rng(76)
+    for k, l in ((2, 2), (2, 3), (3, 4)):
+        r, t = random_standard_pair(rng, k, l, unitary=False)
+        base = verify_standard_complete(observable_pair(r, t))
+        for alpha in (1e-6, 1.0, 1e6):
+            cs = verify_standard_complete(observable_pair(alpha * r, alpha * t))
+            for got, want in ((cs.r_eigenvalues, base.r_eigenvalues),
+                              (cs.t_eigenvalues, base.t_eigenvalues)):
+                assert not np.iscomplexobj(got), (k, l, alpha)
+                assert np.max(np.abs(got - alpha * want)) <= \
+                    1e-10 * alpha * np.max(np.abs(want)), (k, l, alpha)
+
+
 def test_empty_operator_refused():
     z = np.zeros((0, 0))
     with pytest.raises(DimensionMismatch):
@@ -591,6 +608,18 @@ def test_other_partner_or_tolerance_retests_complementarity(monkeypatch):
     for _ in range(2):
         assert not verify_complementary(p1, p1)
     assert len(calls) == 5
+
+
+def test_partner_data_goes_with_its_partner():
+    # p1 holds its partners by weak reference, its own sets by Tolerance
+    p1 = observable_pair(*random_standard_pair(np.random.default_rng(77), 2, 3))
+    p2 = complementary_pair(p1, verify_standard_complete(p1))
+    partners = [copy.copy(p2) for _ in range(20)]
+    assert all(verify_complementary(p1, p) for p in partners)
+    assert len(p1._partners) == 20
+    del partners
+    gc.collect()
+    assert not p1._partners and DEFAULT_TOL in p1._memo
 
 
 def test_restriction_bound_is_relative_to_the_operator():

@@ -17,10 +17,16 @@ from tpskit import (
     tps_equivalent,
     tps_new,
 )
-from tpskit.algebra import span_equal, tpp_to_tps, tps_to_tpp
+from tpskit.algebra import is_tpp, span_equal, tpp_to_tps, tps_to_tpp
 from tpskit.core import DEFAULT_TOL, singular_rank
-from tpskit.observables import observable_pair, tps_from_observables
-from tpskit.poly import poly_tps
+from tpskit.observables import (
+    complementary_pair,
+    observable_pair,
+    tps_from_observables,
+    verify_complementary,
+    verify_standard_complete,
+)
+from tpskit.poly import poly_state, poly_tps
 from tpskit.refactor import (
     dual_verdict,
     tps_making_state_entangled,
@@ -50,6 +56,12 @@ def test_tps_new_rejects_singular_basis():
 def test_tps_new_rejects_bad_shape():
     with pytest.raises(DimensionMismatch):
         tps_new(2, 3, np.eye(4))
+    # n = k*l is read off the shape, so a grid cannot be built on a basis
+    # of another size, nor with an empty factor
+    for k, l, basis in ((2, 3, np.eye(4)), (2, 3, np.eye(6)[:, :5]),
+                        (2, 3, np.ones(6)), (0, 3, np.zeros((0, 0)))):
+        with pytest.raises(DimensionMismatch):
+            Tps(k=k, l=l, basis=basis)
 
 
 def test_god_given_identity_basis():
@@ -340,16 +352,16 @@ def test_kept_singular_values_are_a_read_only_svd_of_the_basis():
                           np.linalg.svd(t.basis, compute_uv=False))
     assert np.array_equal(t.inverse, np.linalg.inv(t.basis))
     # nor can they be passed in or carried over to another basis
-    with pytest.raises(TypeError):
-        Tps(dim=6, k=2, l=3, basis=b, _singular_values=t.singular_values)
-    with pytest.raises(TypeError):
-        Tps(dim=6, k=2, l=3, basis=b, _inverse=t.inverse)
+    with pytest.raises(TypeError, match="singular_values"):
+        Tps(k=2, l=3, basis=b, singular_values=t.singular_values)
+    with pytest.raises(TypeError, match="inverse"):
+        Tps(k=2, l=3, basis=b, inverse=t.inverse)
     other = dataclasses.replace(t, basis=b)
     assert np.array_equal(other.singular_values, np.linalg.svd(b, compute_uv=False))
     assert np.array_equal(other.inverse, np.linalg.inv(b))
     # a pickled copy recomputes them from its own basis
     twin = pickle.loads(pickle.dumps(t))
-    assert twin._singular_values is None and twin._inverse is None
+    assert "singular_values" not in vars(twin) and "inverse" not in vars(twin)
     assert np.array_equal(twin.inverse, t.inverse) and twin.inverse is not t.inverse
 
 
@@ -404,7 +416,7 @@ def test_unitary_grids_keep_their_adjoint(monkeypatch, k, l):
         assert t.inverse is t.inverse
         # a pickled copy is built through __init__ and takes an LU inverse
         twin = pickle.loads(pickle.dumps(t))
-        assert twin._inverse is None
+        assert "inverse" not in vars(twin)
         assert np.linalg.norm(twin.inverse - t.inverse) <= 1e-12, name
 
 
@@ -543,6 +555,28 @@ def test_schmidt_report_arrays_are_read_only():
     # writes that fail leave the report as it was
     assert np.array_equal(report.coefficients,
                           np.linalg.svd(report._c, compute_uv=False)[:report.rank])
+    # every value type, with its cached values computed, and each copy of
+    # one: every array it holds is read-only, and a copy holds its fields
+    # alone, so no cached value survives it
+    p = observable_pair(*random_standard_pair(rng, 2, 3, unitary=False))
+    cs = verify_standard_complete(p)
+    a1, a2 = tps_to_tpp(t)
+    p2 = complementary_pair(p, cs)
+    values = (t, report, a1, a2, p, cs,
+              poly_state(("x1", "x2"), 3, rng.normal(size=(3, 3))))
+    t.singular_values, t.inverse, report.left_vectors, a2.unital
+    is_tpp(a1, a2)
+    assert verify_complementary(p, p2) and a1._memo and p._memo and p._partners
+    for v in values:
+        fields = {f.name for f in dataclasses.fields(v)}
+        for twin in (v, pickle.loads(pickle.dumps(v)), copy.copy(v),
+                     copy.deepcopy(v), dataclasses.replace(v)):
+            assert twin is v or set(vars(twin)) == fields, type(v)
+            for value in vars(twin).values():
+                for arr in value if isinstance(value, tuple) else (value,):
+                    if isinstance(arr, np.ndarray):
+                        with pytest.raises(ValueError):
+                            arr[(0,) * arr.ndim] = 5
 
 
 def test_coefficient_schmidt_keeps_its_own_copy():
