@@ -6,12 +6,14 @@ matrix multiplication.  Span comparisons reduce to projection residuals,
 which keeps every structural test at a uniform tolerance.
 
 Factor pairs are certified witness first: a pair is a tensor product
-partition exactly when some grid basis B induces it, so certification builds
-B from two generic elements of the second algebra, which alone fixes it, and
-checks that B is unitary and that the spans of its own generators, as
-`tps_to_tpp` builds them, are the pair.  A generic Hermitian element of a
-star-closed algebra is the Hermitian part of a complex Gaussian combination
-of its span basis.  Adjoint closure follows from a unitary witness.
+partition exactly when some grid basis B induces it, and certification
+accepts B when B is unitary and the spans of its own generators, as
+`tps_to_tpp` builds them, are the pair.  A pair that `tps_to_tpp` built
+tries its own grid first; any other pair, or one whose grid fails, builds
+B from two generic elements of the second algebra, which alone fixes it.
+A generic Hermitian element of a star-closed algebra is the Hermitian part
+of a complex Gaussian combination of its span basis.  Adjoint closure
+follows from a unitary witness.
 The six structural checks (commutation, adjoint closure, square dimensions,
 mutual commutants, trivial centers, full join) run only when no witness is
 found, as diagnostics of the failure.  The verdict, witness included, is
@@ -51,12 +53,22 @@ class OperatorAlgebra(Frozen):
     """A multiplication-closed span of n x n matrices.  span_basis is
     private and read-only (a copy of the one given, or a span this module
     built and hands over with `_owning`), so the verdicts kept in _memo (by
-    partner, held by weak reference, then Tolerance) stay valid."""
+    partner, held by weak reference, then Tolerance) stay valid.  _grid is
+    the Tps that `tps_to_tpp` read the algebra from, tried first as the
+    pair's witness; any other algebra, and a copy, has none."""
 
     span_basis: np.ndarray         # (dim, n, n), Frobenius-orthonormal
     dim = property(lambda self: self.span_basis.shape[0])
     dim_space = property(lambda self: self.span_basis.shape[1])  # n
     _memo = cached_property(lambda self: weakref.WeakKeyDictionary())
+    _grid = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        shape = self.span_basis.shape
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise DimensionMismatch(
+                f"a span basis is a (dim, n, n) stack, not of shape {shape}")
 
     @cached_property
     def unital(self) -> bool:
@@ -269,13 +281,16 @@ def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
     (`_grid_spans`).  Each span holds the identity.  When its k^2 (or l^2)
     generators are nearly orthogonal, as for a unitary or nearly unitary
     grid, it is orthonormalized by `_lowdin` and marked unital untested;
-    otherwise by an SVD.
+    otherwise by an SVD.  Both algebras keep t as their `_grid`, the first
+    witness `is_tpp` tries for the pair.
     """
     pair = []
     for span in _grid_spans(t.basis, t.inverse, t.k, t.l):
         basis = _lowdin(span)
-        pair.append(_from_closed_span(span, tol) if basis is None else
-                    OperatorAlgebra._owning(span_basis=basis, unital=True))
+        a = (_from_closed_span(span, tol) if basis is None else
+             OperatorAlgebra._owning(span_basis=basis, unital=True))
+        object.__setattr__(a, "_grid", t)
+        pair.append(a)
     return tuple(pair)
 
 
@@ -348,7 +363,9 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> Tps | None:
     """A grid basis inducing exactly the pair (a1, a2), or None.
 
-    Both are read off a2: the eigenvectors of a generic Hermitian t in a2,
+    The grid both algebras were built from by `tps_to_tpp`, if any, is
+    tried first, with no draw.  Otherwise, or when it fails `_induces`,
+    both are read off a2: the eigenvectors of a generic Hermitian t in a2,
     in eigh's ascending order, are the l fibers as consecutive blocks of k
     columns, the first fiber's columns are its k cells as they come, and one
     more generic b in a2 carries that fiber into the others in one batched
@@ -366,6 +383,10 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     dims = _factor_dims(a1, a2)
     if dims is None:
         return None
+    grid = a1._grid
+    if (grid is a2._grid and grid is not None and grid.shape == dims
+            and _induces(grid, a1, a2, tol)):
+        return grid
     k, l = dims
     n = a1.dim_space
     rng = np.random.default_rng(seed)
@@ -405,21 +426,23 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
            tol: Tolerance = DEFAULT_TOL) -> TppVerdict:
     """Certify that an ordered algebra pair factors the full matrix algebra.
 
-    Witness first: a pair with square span dimensions is certified by
-    building a unitary grid basis U from two generic elements of a2 alone,
-    checked against the spans of U's own generators for both algebras
-    (`_induces`), which implies every named check.  Without a witness the
-    six checks are evaluated directly, as diagnostics of the failure:
-    elementwise commutation, closure under adjoints, square span dimensions
-    k^2, l^2 with k*l = n, mutual commutants, trivial centers and a join of
-    full dimension.  Only star-closed pairs are certified; star-closure is
+    Witness first: a pair with square span dimensions is certified by a
+    unitary grid basis U checked against the spans of U's own generators
+    for both algebras (`_induces`), which implies every named check.  U is
+    the grid that `tps_to_tpp` built both algebras from, when they share
+    one and it passes; else it is built from two generic elements of a2
+    alone.  Without a witness the six checks are evaluated directly, as
+    diagnostics of the failure: elementwise commutation, closure under
+    adjoints, square span dimensions k^2, l^2 with k*l = n, mutual
+    commutants, trivial centers and a join of full dimension.  Only star-closed pairs are certified; star-closure is
     implied by the witness, not checked before it.
 
     The verdict carries its witness in `tps` (None on a rejection) and is
     kept on a1 per partner a2 and Tolerance: a later `is_tpp` or
     `tpp_to_tps` of the same pair returns it without certifying again.  A
-    pair with no kept verdict is drawn from seed 0.  a1._memo holds each
-    partner by weak reference, so its verdicts go when the partner does.
+    pair with no kept verdict and no grid that certifies it is drawn from
+    seed 0.  a1._memo holds each partner by weak reference, so its verdicts
+    go when the partner does.
     """
     return _certify(a1, a2, 0, tol)
 
@@ -430,12 +453,14 @@ def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
 
     Returns the certification witness of the pair's verdict (see `is_tpp`),
     which is always an inner-product-compatible (unitary) grid with a
-    read-only basis.  The verdict is kept on a1 per partner and Tolerance,
+    read-only basis: for the pair of a unitary grid t, `tps_to_tpp(t)`,
+    that is t itself.  The verdict is kept on a1 per partner and Tolerance,
     so `seed` picks the two draws from a2 (see `_witness`) only for a pair
-    that has no kept verdict yet; any two witnesses are equivalent.  Without
-    a witness: NotATpp names the checks that fail, and GenericElementFailure
-    means they all pass but the draws found no basis (that outcome is not
-    kept, so a call with another seed draws again).
+    that has no kept verdict yet and no grid of its own that certifies it;
+    any two witnesses are equivalent.  Without a witness: NotATpp names the
+    checks that fail, and GenericElementFailure means they all pass but the
+    draws found no basis (that outcome is not kept, so a call with another
+    seed draws again).
     """
     verdict = _certify(a1, a2, seed, tol)
     if verdict.tps is not None:

@@ -51,8 +51,13 @@ class Tps(Frozen):
         on this grid (see `_solve`).  A grid that is unitary by construction
         (the refactor makers, a self-adjoint observable pair, `god_given`)
         keeps its adjoint B^*, set when it is built; any other grid, and a
-        copy, computes it once by an LU inverse, on first use."""
-        x = np.linalg.inv(self.basis)
+        copy, computes it once by an LU inverse, on first use.  A basis the LU
+        finds singular, which only a Tps built directly and not through
+        `tps_new` can hold, raises SingularBasis."""
+        try:
+            x = np.linalg.inv(self.basis)
+        except np.linalg.LinAlgError as e:
+            raise SingularBasis("basis matrix is singular") from e
         x.flags.writeable = False
         return x
 

@@ -33,7 +33,7 @@ from tpskit.observables import (
 )
 from tpskit.poly import PolyState, poly_state
 from tpskit.tps import SchmidtReport, Tps
-from tpskit.errors import GenericElementFailure, NonUnital, NotATpp
+from tpskit.errors import DimensionMismatch, GenericElementFailure, NonUnital, NotATpp
 
 from util import (
     SHAPES,
@@ -253,13 +253,18 @@ def _parity_corpus():
 
 
 def test_is_tpp_matches_six_check_diagnostic():
-    for name, (a1, a2), must_fail in _parity_corpus():
-        got, full = is_tpp(a1, a2), _diagnose(a1, a2, DEFAULT_TOL)
-        assert (got.is_tpp, got.k, got.l, got.checks) == \
-            (full.is_tpp, full.k, full.l, full.checks), name
-        assert list(got.checks) == list(full.checks), name
-        failed = {check for check, ok in got.checks.items() if not ok}
-        assert failed == must_fail and got.is_tpp == (not must_fail), name
+    # each pair as built, and as grid-less copies certified by draws alone
+    for name, pair, must_fail in _parity_corpus():
+        verdicts = []
+        for a1, a2 in (pair, tuple(map(copy.copy, pair))):
+            got, full = is_tpp(a1, a2), _diagnose(a1, a2, DEFAULT_TOL)
+            assert (got.is_tpp, got.k, got.l, got.checks) == \
+                (full.is_tpp, full.k, full.l, full.checks), name
+            assert list(got.checks) == list(full.checks), name
+            failed = {check for check, ok in got.checks.items() if not ok}
+            assert failed == must_fail and got.is_tpp == (not must_fail), name
+            verdicts.append((got.is_tpp, got.k, got.l, dict(got.checks)))
+        assert verdicts[0] == verdicts[1], name
 
 
 def test_non_commuting_rejection_forms_no_product_stack():
@@ -390,7 +395,7 @@ def test_generic_hermitian_lies_in_the_algebra():
 def test_a_transport_that_misses_a_fiber_falls_back_to_the_six_checks(monkeypatch):
     rng = np.random.default_rng(46)
     t = tps_new(2, 3, random_unitary(rng, 6))
-    a1, a2 = tps_to_tpp(t)
+    a1, a2 = map(copy.copy, tps_to_tpp(t))  # no grid: the witness is drawn
     draw, drawn = tpskit.algebra._draw_generic_hermitian, []
 
     def identity_as_transport(a, gen):
@@ -414,7 +419,8 @@ def test_a_transport_that_misses_a_fiber_falls_back_to_the_six_checks(monkeypatc
 
 
 def test_a_zero_transport_is_refused_before_any_division(monkeypatch):
-    a1, a2 = tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(69), 6)))
+    a1, a2 = map(copy.copy,
+                 tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(69), 6))))
     draw, drawn = tpskit.algebra._draw_generic_hermitian, []
 
     def zero_as_transport(a, gen):
@@ -806,7 +812,8 @@ def test_builders_hand_their_spans_over_read_only(monkeypatch):
 
 
 def test_witness_is_read_off_the_second_algebra(monkeypatch):
-    a1, a2 = tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(67), 6)))
+    a1, a2 = map(copy.copy,
+                 tps_to_tpp(tps_new(2, 3, random_unitary(np.random.default_rng(67), 6))))
     eighs = count_calls(monkeypatch, np.linalg, "eigh")
     draws = count_calls(monkeypatch, tpskit.algebra, "_draw_generic_hermitian")
     fixes = count_calls(monkeypatch, tpskit.core, "phase_fix")
@@ -833,3 +840,64 @@ def test_copies_of_a_certified_algebra_keep_no_verdicts(monkeypatch):
         calls.clear()
         assert is_tpp(c1, c2).is_tpp
         assert len(calls) == 1
+
+
+def test_only_the_pair_of_a_grid_carries_that_grid():
+    t = tps_new(2, 2, random_unitary(np.random.default_rng(72), 4))
+    a1, a2 = tps_to_tpp(t)
+    assert a1._grid is t and a2._grid is t
+    others = [algebra_generate([XX, ZZ]), commutant(a1), join(a1, a2),
+              OperatorAlgebra(span_basis=a1.span_basis)]
+    others += [c for pair in (pickle.loads(pickle.dumps((a1, a2))),
+                              copy.deepcopy((a1, a2)), map(copy.copy, (a1, a2)))
+               for c in pair]
+    assert all(a._grid is None for a in others)
+
+
+def test_a_pair_is_certified_by_the_grid_that_built_it(monkeypatch):
+    rng = np.random.default_rng(70)
+    grids = [tps_new(k, l, random_unitary(rng, k * l)) for k, l in SHAPES]
+    grids.append(god_given(2, 3))
+    pairs = [tps_to_tpp(t) for t in grids]
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    draws = count_calls(monkeypatch, tpskit.algebra, "_draw_generic_hermitian")
+    for t, (a1, a2) in zip(grids, pairs):
+        verdict = is_tpp(a1, a2)
+        assert verdict.is_tpp and verdict.tps is t
+        assert dict(verdict.checks) == dict.fromkeys(tpskit.algebra._CHECKS, True)
+        assert tpp_to_tps(a1, a2, seed=5) is t
+    assert eighs == [] and draws == []
+
+
+def test_a_grid_that_fails_the_gate_falls_through_to_the_draws(monkeypatch):
+    # U (P ox Q) with P, Q not unitary induces the factor pair of U but is
+    # no unitary witness; two grids' algebras share no grid to try
+    rng = np.random.default_rng(71)
+    u = random_unitary(rng, 6)
+    t = tps_new(2, 3, u @ np.kron(random_invertible(rng, 2), random_invertible(rng, 3)))
+    a1, a2 = tps_to_tpp(t)
+    b1, b2 = tps_to_tpp(tps_new(2, 3, u))
+    gates = count_calls(monkeypatch, tpskit.algebra, "is_inner_product_compatible")
+    draws = count_calls(monkeypatch, tpskit.algebra, "_draw_generic_hermitian")
+    for p1, p2 in ((a1, a2), (a1, b2), (b1, a2)):
+        verdict = is_tpp(p1, p2)
+        assert verdict.is_tpp and verdict.tps not in (t, b1._grid)
+        assert tps_equivalent(t, verdict.tps).equivalent
+    assert [args[0] is t for args in gates] == [True, False, False, False]
+    assert len(draws) == 6
+
+
+def test_round_trips_of_grid_less_pairs_are_equivalences():
+    # criterion 7(c) on copies, which carry no grid: every witness is drawn
+    for trial in range(100):
+        k, l = SHAPES[trial % len(SHAPES)]
+        t = tps_new(k, l, random_unitary(np.random.default_rng(3000 + trial), k * l))
+        a1, a2 = map(copy.copy, tps_to_tpp(t))
+        back = tpp_to_tps(a1, a2, seed=trial)
+        assert back is not t and tps_equivalent(t, back).equivalent, trial
+
+
+def test_a_span_that_is_not_a_stack_of_square_matrices_is_refused():
+    for span in (np.eye(2), np.zeros((2, 2, 3)), np.zeros(4)):
+        with pytest.raises(DimensionMismatch):
+            OperatorAlgebra(span_basis=span)

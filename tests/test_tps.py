@@ -53,6 +53,13 @@ def test_tps_new_rejects_singular_basis():
         tps_new(2, 2, b)
 
 
+def test_a_singular_grid_built_directly_is_refused_on_first_solve():
+    # Tps itself runs no rank test; its LU inverse refuses the basis
+    t = Tps(k=2, l=2, basis=np.ones((4, 4)))
+    with pytest.raises(SingularBasis):
+        schmidt(np.ones(4), t)
+
+
 def test_tps_new_rejects_bad_shape():
     with pytest.raises(DimensionMismatch):
         tps_new(2, 3, np.eye(4))
