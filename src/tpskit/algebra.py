@@ -54,8 +54,8 @@ class OperatorAlgebra(Frozen):
     private and read-only (a copy of the one given, or a span this module
     built and hands over with `_owning`), so the verdicts kept in _memo (by
     partner, held by weak reference, then Tolerance) stay valid.  _grid is
-    the Tps that `tps_to_tpp` read the algebra from, tried first as the
-    pair's witness; any other algebra, and a copy, has none."""
+    the Tps that `tps_to_tpp` read the (unital) algebra from, tried first
+    as the pair's witness; any other algebra, and a copy, has none."""
 
     span_basis: np.ndarray         # (dim, n, n), Frobenius-orthonormal
     dim = property(lambda self: self.span_basis.shape[0])
@@ -249,19 +249,6 @@ def _star_closed(a: OperatorAlgebra) -> bool:
     return bool(_projection_residual(adj, a.flat) <= _span_bound(a.dim))
 
 
-def _lowdin(mats: np.ndarray) -> np.ndarray | None:
-    """Symmetric (Loewdin) orthonormalization: the rows G^(-1/2) F of the
-    flattened stack F, G = F F^*, span what the rows of F span and are
-    Frobenius-orthonormal to about eps * cond(G).  None unless cond(G) <= 2,
-    so the result is trusted only for nearly orthogonal matrices."""
-    m, n, _ = mats.shape
-    f = mats.reshape(m, -1)
-    lam, v = np.linalg.eigh(f @ f.conj().T)
-    if not lam[0] >= lam[-1] / 2:
-        return None
-    return ((v / np.sqrt(lam)) @ v.conj().T @ f).reshape(m, n, n)
-
-
 def _grid_spans(b: np.ndarray, binv: np.ndarray, k: int, l: int):
     """Stacks of the generators B (E_ab ox 1_l) binv and B (1_k ox E_cd) binv
     of a k x l grid basis B; with binv = B^-1 they span the pair B induces."""
@@ -273,24 +260,23 @@ def _grid_spans(b: np.ndarray, binv: np.ndarray, k: int, l: int):
             (b.transpose(2, 0, 1)[:, None] @ binv.transpose(1, 0, 2)).reshape(-1, n, n))
 
 
-def tps_to_tpp(t: Tps, tol: Tolerance = DEFAULT_TOL):
+def tps_to_tpp(t: Tps):
     """Algebra pair acting factorwise in the grid basis of a Tps.
 
     A1 is spanned by B (E_ab ox 1_l) B^-1 over matrix units of the first
     factor, A2 by B (1_k ox E_cd) B^-1, with B the grid basis
-    (`_grid_spans`).  Each span holds the identity.  When its k^2 (or l^2)
-    generators are nearly orthogonal, as for a unitary or nearly unitary
-    grid, it is orthonormalized by `_lowdin` and marked unital untested;
-    otherwise by an SVD.  Both algebras keep t as their `_grid`, the first
-    witness `is_tpp` tries for the pair.
+    (`_grid_spans`).  Each span has dimension k^2 (or l^2) and holds
+    B B^-1 = 1, so its generators are orthonormalized by one Householder QR,
+    whose columns are orthonormal to machine precision at any conditioning
+    of B, and the algebra is marked unital untested.  Both algebras keep t
+    as their `_grid`, the first witness `is_tpp` tries for the pair.
     """
     pair = []
     for span in _grid_spans(t.basis, t.inverse, t.k, t.l):
-        basis = _lowdin(span)
-        a = (_from_closed_span(span, tol) if basis is None else
-             OperatorAlgebra._owning(span_basis=basis, unital=True))
-        object.__setattr__(a, "_grid", t)
-        pair.append(a)
+        m, n, _ = span.shape
+        q = np.linalg.qr(span.reshape(m, n * n).T)[0]
+        pair.append(OperatorAlgebra._owning(
+            span_basis=q.T.reshape(m, n, n), unital=True, _grid=t))
     return tuple(pair)
 
 
@@ -348,9 +334,10 @@ def _induces(t: Tps, a1: OperatorAlgebra, a2: OperatorAlgebra,
     """Whether the grid basis U of t is unitary and induces exactly (a1, a2):
     the orthonormal spans U (E_ab ox 1) U^* / sqrt(l), U (1 ox E_cd) U^* /
     sqrt(k) of the pair U induces (`_grid_spans`) have projection residuals
-    onto a1.flat, a2.flat within `span_equal`'s bound.  They have the
-    dimensions k^2, l^2 of (a1, a2) (`_factor_dims`), so this residual
-    ||(1 - P_A) P_W|| equals ||(1 - P_W) P_A||, as in `span_equal`."""
+    onto a1.flat, a2.flat within `span_equal`'s bound.  For t of the shape
+    `_factor_dims` gives, they have the dimensions of (a1, a2), so this
+    residual ||(1 - P_A) P_W|| equals ||(1 - P_W) P_A||, as in `span_equal`;
+    a pair's own grid in the other order leaves a residual on one side."""
     if not is_inner_product_compatible(t, tol):
         return False
     u = t.basis
@@ -384,8 +371,7 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     if dims is None:
         return None
     grid = a1._grid
-    if (grid is a2._grid and grid is not None and grid.shape == dims
-            and _induces(grid, a1, a2, tol)):
+    if grid is a2._grid and grid is not None and _induces(grid, a1, a2, tol):
         return grid
     k, l = dims
     n = a1.dim_space

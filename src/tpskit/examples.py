@@ -112,7 +112,7 @@ def example_bell(tol: Tolerance = DEFAULT_TOL) -> dict:
     _require(all(rk == 1 for rk in bell_ranks.values()),
              "Bell states must be product vectors in the constructed grid")
 
-    a1, a2 = tps_to_tpp(bell_tps, tol)
+    a1, a2 = tps_to_tpp(bell_tps)
     verdict = is_tpp(a1, a2, tol)
     _require(verdict.is_tpp, "induced algebra pair must certify")
     _require(contains(a1, r, tol) and contains(a2, t, tol),

@@ -51,13 +51,18 @@ from .tps import Tps, _unitary_tps, is_inner_product_compatible, tps_new
 class ObservablePair(Frozen):
     """A commuting operator pair.  r and t are private read-only copies, so
     the characteristic sets kept in _memo (by Tolerance) and the data kept
-    in _partners (by weakly held partner, then Tolerance) stay valid."""
+    in _partners (by weakly held partner, then Tolerance) stay valid;
+    hermitian (both self-adjoint) is `observable_pair`'s test of r and t,
+    at the Tolerance of the call that built the pair, else DEFAULT_TOL."""
 
     r: np.ndarray
     t: np.ndarray
-    hermitian: bool  # both self-adjoint: "observables" rather than "operators"
     _memo = cached_property(lambda self: {})
     _partners = cached_property(lambda self: weakref.WeakKeyDictionary())
+
+    @cached_property
+    def hermitian(self) -> bool:
+        return _self_adjoint(pow2_scaled(self.r), pow2_scaled(self.t), DEFAULT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +74,12 @@ class CharacteristicSets(Frozen):
     grid: np.ndarray               # joint eigenvectors, column j*l+i
     k = property(lambda self: self.r_eigenvalues.size)
     l = property(lambda self: self.t_eigenvalues.size)
+
+
+def _self_adjoint(rs: np.ndarray, ts: np.ndarray, tol: Tolerance) -> bool:
+    """Whether both power-of-two scaled operators are self-adjoint to tol."""
+    return all(np.max(np.abs(m - m.conj().T)) <= tol.residual * np.abs(m).max()
+               for m in (rs, ts))
 
 
 def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
@@ -85,9 +96,8 @@ def observable_pair(r, t, tol: Tolerance = DEFAULT_TOL) -> ObservablePair:
     scale = float(np.linalg.norm(rs)) * float(np.linalg.norm(ts))
     if np.linalg.norm(rs @ ts - ts @ rs) > 10 * tol.residual * scale:
         raise NotCommuting("r and t do not commute within tolerance")
-    herm = all(np.max(np.abs(m - m.conj().T)) <= tol.residual * np.abs(m).max()
-               for m in (rs, ts))
-    return ObservablePair(r=rm, t=tm, hermitian=herm)
+    return ObservablePair._owning(r=np.array(rm), t=np.array(tm),
+                                  hermitian=_self_adjoint(rs, ts, tol))
 
 
 def _eigen_tiles(a: np.ndarray, hermitian: bool, tol: Tolerance):
@@ -368,7 +378,7 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     structure = _unitary_tps(cs.k, cs.l, basis) if p1.hermitian else None
     if structure is None or not is_inner_product_compatible(structure, tol):
         structure = tps_new(cs.k, cs.l, basis, tol)
-    a1, a2 = tps_to_tpp(structure, tol)
+    a1, a2 = tps_to_tpp(structure)
     for op, alg, name in ((p1.r, a1, "r1"), (p2.r, a1, "r2"),
                           (p1.t, a2, "t1"), (p2.t, a2, "t2")):
         if not contains(alg, op, tol):

@@ -352,12 +352,14 @@ def test_diagnostics_decide_when_no_witness_is_found(monkeypatch):
 
 
 def test_svd_fallback_gives_the_same_span(monkeypatch):
-    # the first SVD fails to converge, so that span is found from the SVD of
-    # the stack's triangular factor R, without scipy
+    # the first SVD of a closed span (as algebra_from_json reads one) fails
+    # to converge, so that span is found from the SVD of the stack's
+    # triangular factor R, without scipy
     monkeypatch.setitem(sys.modules, "scipy", None)
     rng = np.random.default_rng(44)
     t = tps_new(2, 3, random_invertible(rng, 6))
-    expected = tps_to_tpp(t)
+    spans = _factor_spans(t)
+    expected = [tpskit.algebra._from_closed_span(g, DEFAULT_TOL) for g in spans]
     svd, calls = np.linalg.svd, []
 
     def fails_once(*args, **kwargs):
@@ -367,7 +369,7 @@ def test_svd_fallback_gives_the_same_span(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", fails_once)
-    got = tps_to_tpp(t)
+    got = [tpskit.algebra._from_closed_span(g, DEFAULT_TOL) for g in spans]
     # failed, retried on the triangular factor R, then the second span
     assert calls == [(4, 36), (4, 36), (9, 36)]
     for a, b in zip(got, expected):
@@ -557,7 +559,7 @@ def test_certification_does_not_read_eig_cluster():
     t = tps_new(2, 3, random_unitary(rng, 6))
     for eig_cluster in (0.5, 10.0):
         tol = Tolerance(eig_cluster=eig_cluster)
-        a1, a2 = tps_to_tpp(t, tol)
+        a1, a2 = tps_to_tpp(t)
         verdict = is_tpp(a1, a2, tol)
         assert verdict.is_tpp and verdict.tps is not None, eig_cluster
         assert tps_equivalent(t, tpp_to_tps(a1, a2, tol=tol)).equivalent
@@ -652,7 +654,7 @@ def test_span_basis_is_a_read_only_copy():
          {"span_basis": np.eye(2, dtype=complex).reshape(1, 2, 2) / np.sqrt(2)}),
         (Tps, {"k": 2, "l": 3, "basis": random_invertible(rng, 6)}),
         (SchmidtReport, {"coefficients": np.array([2.0, 1.0]), "_c": np.diag([2.0, 1.0])}),
-        (ObservablePair, {"r": np.array(p.r), "t": np.array(p.t), "hermitian": True}),
+        (ObservablePair, {"r": np.array(p.r), "t": np.array(p.t)}),
         (CharacteristicSets,
          {f.name: np.array(getattr(cs, f.name)) for f in dataclasses.fields(cs)}),
         (PolyState, {"variables": ("x1", "x2"), "coeffs": np.ones((3, 3), dtype=complex)}),
@@ -749,19 +751,62 @@ def test_verdict_checks_are_read_only():
 def test_ill_conditioned_grid_spans_do_not_depend_on_the_tolerance():
     # with residual = 1 this grid counts as inner-product compatible (defect
     # about 1, bound 40), yet its generators are far from orthogonal: the
-    # spans must still be orthonormal, and the SVD ones
+    # spans must still be orthonormal, and the SVD ones at either tolerance
     rng = np.random.default_rng(64)
     b = random_unitary(rng, 4) @ np.diag([1, 1, 1, 1e-6]) @ random_unitary(rng, 4)
     for tol in (DEFAULT_TOL, Tolerance(residual=1)):
         t = tps_new(2, 2, b, tol)
         assert is_inner_product_compatible(t, tol) == (tol.residual == 1)
-        for a, gens in zip(tps_to_tpp(t, tol), _factor_spans(t)):
+        for a, gens in zip(tps_to_tpp(t), _factor_spans(t)):
             assert np.all(np.isfinite(a.flat))
             gram = a.flat @ a.flat.conj().T
             assert np.linalg.norm(gram - np.eye(a.dim)) <= 1e-12
             ref = tpskit.algebra._from_closed_span(gens, tol)
             assert a.dim == ref.dim == 4 and a.unital == ref.unital
             assert span_equal(a, ref)
+
+
+def _with_cond(rng, n, cond):
+    """A random basis whose singular values run geometrically from 1 to 1/cond."""
+    s = np.logspace(0, -np.log10(cond), n)
+    return random_unitary(rng, n) @ np.diag(s) @ random_unitary(rng, n)
+
+
+def test_grid_spans_are_one_qr_at_any_conditioning(monkeypatch):
+    # unitary, Gaussian and ill-conditioned grids alike: k^2 and l^2
+    # orthonormal rows from one QR each, no SVD or eigh, the SVD reference span
+    rng = np.random.default_rng(70)
+    grids = []
+    for k, l in SHAPES:
+        n = k * l
+        bases = [random_unitary(rng, n),
+                 rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                 *(_with_cond(rng, n, cond) for cond in (1e2, 1e4, 1e6))]
+        grids += [tps_new(k, l, b) for b in bases]
+    for t in grids:
+        t.inverse  # the grid's LU, taken before the spy
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    eighs = count_calls(monkeypatch, np.linalg, "eigh")
+    qrs = count_calls(monkeypatch, np.linalg, "qr")
+    pairs = [tps_to_tpp(t) for t in grids]
+    assert svds == eighs == [] and len(qrs) == 2 * len(grids)
+    monkeypatch.undo()
+    for t, pair in zip(grids, pairs):
+        for a, gens, dim in zip(pair, _factor_spans(t), (t.k ** 2, t.l ** 2)):
+            assert a.dim == dim and a.unital, t.shape
+            gram = a.flat @ a.flat.conj().T
+            assert np.linalg.norm(gram - np.eye(dim)) <= 1e-12, t.shape
+            assert span_equal(a, tpskit.algebra._from_closed_span(gens, DEFAULT_TOL)), t.shape
+
+
+def test_a_grid_at_cond_1e9_gives_a_rejected_pair():
+    # its spans stay k^2 and l^2 dimensional and unital, so the pair is
+    # judged, and fails as a pair that is not star-closed, instead of being
+    # refused as holding no identity
+    t = tps_new(2, 2, _with_cond(np.random.default_rng(71), 4, 1e9))
+    verdict = is_tpp(*tps_to_tpp(t))
+    assert not verdict.is_tpp and not verdict.checks["star_closed"]
+    assert (verdict.k, verdict.l) == (2, 2) and verdict.checks["dims_square"]
 
 
 def test_verdicts_pickle_and_copy_with_read_only_checks():
@@ -791,22 +836,27 @@ def test_span_basis_copies_a_read_only_view():
 
 def test_builders_hand_their_spans_over_read_only(monkeypatch):
     # the spans that tps_to_tpp, _from_closed_span and algebra_generate
-    # build are theirs alone: the algebra keeps each one, read-only, as it is
+    # build are theirs alone: the algebra keeps each one, read-only, as it
+    # is; tps_to_tpp's span is a view of the Q of its QR, with no copy
+    rng = np.random.default_rng(66)
+    u, t = tps_new(2, 3, random_unitary(rng, 6)), tps_new(2, 3, random_invertible(rng, 6))
     made = []
-    for name in ("_lowdin", "_orthonormal_span"):
-        def spy(*args, build=getattr(tpskit.algebra, name)):
+    for module, name in ((np.linalg, "qr"), (tpskit.algebra, "_orthonormal_span")):
+        def spy(*args, build=getattr(module, name)):
             made.append(build(*args))
             return made[-1]
-        monkeypatch.setattr(tpskit.algebra, name, spy)
-    rng = np.random.default_rng(66)
-    algebras = [*tps_to_tpp(tps_new(2, 3, random_unitary(rng, 6))),  # Loewdin
-                *tps_to_tpp(tps_new(2, 3, random_invertible(rng, 6)))]  # SVD
-    spans = [m for m in made if m is not None]
+        monkeypatch.setattr(module, name, spy)
+    algebras = [*tps_to_tpp(u), *tps_to_tpp(t)]
+    qs = [q for q, _ in made]
+    made.clear()
+    algebras.append(tpskit.algebra._from_closed_span(_factor_spans(t)[0], DEFAULT_TOL))
     algebras.append(algebra_generate([np.diag([1.0, 2.0, 3.0])]))
-    spans.append(made[-1])
-    assert len(spans) == len(algebras) == 5
-    for a, span in zip(algebras, spans):
+    assert len(qs) == 4 and len(made) == 4  # one span, three closure rounds
+    for a, q in zip(algebras, qs):
+        assert np.array_equal(a.flat, q.T) and np.shares_memory(a.span_basis, q)
+    for a, span in zip(algebras[4:], (made[0], made[-1])):
         assert a.span_basis is span
+    for a in algebras:
         with pytest.raises(ValueError):
             a.span_basis[0, 0, 0] = 0
 

@@ -376,12 +376,40 @@ FAILING_PAIRS = {
 @pytest.mark.parametrize("name", sorted(FAILING_PAIRS))
 def test_failures_match_reference_loop(name):
     r, t, herm, expected = FAILING_PAIRS[name]
-    p = ObservablePair(r=r, t=t, hermitian=herm)
+    p = ObservablePair(r=r, t=t)
+    assert p.hermitian is herm
     with pytest.raises(TpskitError) as want:
         reference_standard_complete(p, DEFAULT_TOL)
     with pytest.raises(TpskitError) as got:
         verify_standard_complete(p)
     assert type(got.value) is type(want.value) is expected
+
+
+def test_a_pair_built_directly_reads_its_tag_off_its_operators():
+    # a commuting pair that is not self-adjoint cannot be tagged so: its
+    # tag is derived, so its spectrum is read by eig, not by eigh
+    g = np.array([[1.0, 1.0], [0.0, 1.0]])
+    r = np.kron(g @ np.diag([1.0, 2.0]) @ np.linalg.inv(g), I2).astype(complex)
+    t = np.kron(I2, np.diag([1.0, 3.0])).astype(complex)
+    with pytest.raises(TypeError):
+        ObservablePair(r=r, t=t, hermitian=True)
+    p = ObservablePair(r=r, t=t)
+    assert not p.hermitian and p.hermitian == observable_pair(r, t).hermitian
+    cs = verify_standard_complete(p)
+    np.testing.assert_allclose(cs.r_eigenvalues, [1.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(cs.t_eigenvalues, [1.0, 3.0], atol=1e-12)
+    assert ObservablePair(r=r + r.conj().T, t=t).hermitian
+
+
+def test_a_built_pair_keeps_the_tag_of_its_tolerance():
+    # the tag is observable_pair's verdict at the tolerance it was given;
+    # a copy, rebuilt from r and t alone, reads it at DEFAULT_TOL
+    r = np.diag([1.0, 1.0, 2.0, 2.0]).astype(complex)
+    r[0, 1] = 1e-9
+    t = np.diag([1.0, 3.0, 1.0, 3.0]).astype(complex)
+    loose = observable_pair(r, t, Tolerance(residual=1e-6))
+    assert loose.hermitian and not observable_pair(r, t).hermitian
+    assert not copy.copy(loose).hermitian
 
 
 def _count_kernel_calls(monkeypatch):
@@ -522,8 +550,8 @@ def test_complementary_grid_of_a_self_adjoint_pair_keeps_its_adjoint(
     svds = count_calls(monkeypatch, np.linalg, "svd")
     _, _, structure = tpp_from_complementary(p1, p2)
     # a unitary grid takes no rank test and no LU; a general one the rank
-    # test of tps_new, its LU and two SVDs in tps_to_tpp, as before
-    assert (len(inverses), len(svds)) == ((0, 0) if unitary else (1, 3))
+    # test of tps_new and its LU, and tps_to_tpp no SVD
+    assert (len(inverses), len(svds)) == ((0, 0) if unitary else (1, 1))
     if unitary:
         np.testing.assert_array_equal(structure.inverse,
                                       structure.basis.conj().T)
@@ -576,7 +604,8 @@ def test_copies_of_a_pair_keep_nothing(monkeypatch):
 def test_failing_pair_not_memoised(monkeypatch):
     calls = _count_kernel_calls(monkeypatch)
     r, t, herm, expected = FAILING_PAIRS["multiplicity"]
-    p = ObservablePair(r=r, t=t, hermitian=herm)
+    p = ObservablePair(r=r, t=t)
+    assert p.hermitian is herm
     for _ in range(2):
         with pytest.raises(expected):
             verify_standard_complete(p)
