@@ -6,24 +6,23 @@ matrix multiplication.  Span comparisons reduce to projection residuals,
 which keeps every structural test at a uniform tolerance.
 
 Factor pairs are certified witness first: a pair is a tensor product
-partition exactly when some grid basis B induces it, and certification
-accepts B when B is unitary and the spans of its own generators, as
-`tps_to_tpp` builds them, are the pair.  A pair that `tps_to_tpp` built
-tries its own grid first; any other pair, or one whose grid fails, builds
-B from two generic elements of the second algebra, which alone fixes it.
-A generic Hermitian element of a star-closed algebra is the Hermitian part
-of a complex Gaussian combination of its span basis.  Adjoint closure
-follows from a unitary witness.
+partition exactly when some grid basis B induces it.  The pair that
+`tps_to_tpp` built from a grid t, in its order, is induced by t by
+construction, so t is its witness once t is unitary.  Any other pair, or
+one whose grid is not unitary, builds B from two generic elements of the
+second algebra, which alone fixes it, and accepts B when B is unitary and
+the spans of its own generators are the pair.  A generic Hermitian
+element of a star-closed algebra is the Hermitian part of a complex
+Gaussian combination of its span basis.  Adjoint closure follows from a
+unitary witness.
 The six structural checks (commutation, adjoint closure, square dimensions,
 mutual commutants, trivial centers, full join) run only when no witness is
-found, as diagnostics of the failure.  The verdict, witness included, is
-kept on the first algebra per partner and Tolerance, so certifying a pair
-and then building its grid runs the certification once.
+found, as diagnostics of the failure.  Nothing is kept between calls: each
+`is_tpp` or `tpp_to_tps` certifies afresh.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,16 +51,16 @@ from .tps import Tps, is_inner_product_compatible
 class OperatorAlgebra(Frozen):
     """A multiplication-closed span of n x n matrices.  span_basis is
     private and read-only (a copy of the one given, or a span this module
-    built and hands over with `_owning`), so the verdicts kept in _memo (by
-    partner, held by weak reference, then Tolerance) stay valid.  _grid is
-    the Tps that `tps_to_tpp` read the (unital) algebra from, tried first
-    as the pair's witness; any other algebra, and a copy, has none."""
+    built and hands over with `_owning`).  _grid is the Tps that
+    `tps_to_tpp` read the (unital) algebra from, and _side which factor
+    of it the algebra is (0 or 1); _grid is the witness of its pair, in
+    that order, when it is unitary.  Any other algebra, and a copy, has
+    neither."""
 
     span_basis: np.ndarray         # (dim, n, n), Frobenius-orthonormal
     dim = property(lambda self: self.span_basis.shape[0])
     dim_space = property(lambda self: self.span_basis.shape[1])  # n
-    _memo = cached_property(lambda self: weakref.WeakKeyDictionary())
-    _grid = None
+    _grid = _side = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -87,32 +86,15 @@ _CHECKS = ("commute", "star_closed", "dims_square", "mutual_commutant",
            "trivial_center", "join_full")
 
 
-class _ReadOnlyDict(dict):
-    """A dict whose methods refuse every write; it still pickles, copies
-    and serializes as a dict."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("verdict checks are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return (_ReadOnlyDict, (dict(self),))
-
-
 @dataclass(frozen=True)
 class TppVerdict:
-    """checks is a read-only private copy, so a verdict kept in a1._memo
-    cannot be altered through the one it was returned as."""
+    """The named checks of one certification, and its witness grid (None
+    on a rejection).  Each call returns a verdict of its own."""
 
     k: int
     l: int
     checks: dict
     tps: Tps | None = field(default=None, compare=False, repr=False)  # witness
-
-    def __post_init__(self):
-        object.__setattr__(self, "checks", _ReadOnlyDict(self.checks))
 
     @property
     def is_tpp(self) -> bool:
@@ -269,14 +251,15 @@ def tps_to_tpp(t: Tps):
     B B^-1 = 1, so its generators are orthonormalized by one Householder QR,
     whose columns are orthonormal to machine precision at any conditioning
     of B, and the algebra is marked unital untested.  Both algebras keep t
-    as their `_grid`, the first witness `is_tpp` tries for the pair.
+    as their `_grid`, with their `_side`, so that `is_tpp` of the pair in
+    this order has t as its witness when t is unitary.
     """
     pair = []
-    for span in _grid_spans(t.basis, t.inverse, t.k, t.l):
+    for side, span in enumerate(_grid_spans(t.basis, t.inverse, t.k, t.l)):
         m, n, _ = span.shape
         q = np.linalg.qr(span.reshape(m, n * n).T)[0]
         pair.append(OperatorAlgebra._owning(
-            span_basis=q.T.reshape(m, n, n), unital=True, _grid=t))
+            span_basis=q.T.reshape(m, n, n), unital=True, _grid=t, _side=side))
     return tuple(pair)
 
 
@@ -331,10 +314,11 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
 
 def _induces(t: Tps, a1: OperatorAlgebra, a2: OperatorAlgebra,
              tol: Tolerance) -> bool:
-    """Whether the grid basis U of t is unitary and induces exactly (a1, a2):
-    the orthonormal spans U (E_ab ox 1) U^* / sqrt(l), U (1 ox E_cd) U^* /
-    sqrt(k) of the pair U induces (`_grid_spans`) have projection residuals
-    onto a1.flat, a2.flat within `span_equal`'s bound.  For t of the shape
+    """Whether the basis U of a drawn grid t is unitary and induces exactly
+    (a1, a2): the orthonormal spans U (E_ab ox 1) U^* / sqrt(l), U (1 ox
+    E_cd) U^* / sqrt(k) of the pair U induces (`_grid_spans`) have
+    projection residuals onto a1.flat, a2.flat within `span_equal`'s
+    bound.  For t of the shape
     `_factor_dims` gives, they have the dimensions of (a1, a2), so this
     residual ||(1 - P_A) P_W|| equals ||(1 - P_W) P_A||, as in `span_equal`;
     a pair's own grid in the other order leaves a residual on one side."""
@@ -350,15 +334,17 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> Tps | None:
     """A grid basis inducing exactly the pair (a1, a2), or None.
 
-    The grid both algebras were built from by `tps_to_tpp`, if any, is
-    tried first, with no draw.  Otherwise, or when it fails `_induces`,
-    both are read off a2: the eigenvectors of a generic Hermitian t in a2,
-    in eigh's ascending order, are the l fibers as consecutive blocks of k
-    columns, the first fiber's columns are its k cells as they come, and one
-    more generic b in a2 carries that fiber into the others in one batched
-    product, which `grid_from_fibers` scales and lays out.  For a2 = U (1 ox
-    M_l) U^* the grid is U (W_0 ox Psi), W_0 unitary and Psi a unit-modulus
-    diagonal, which induces the pair whatever W_0 is.  The one gate is
+    When a1 and a2 are the first and second algebra that `tps_to_tpp`
+    built from one grid t, t induces them by construction, so it is the
+    witness, with no draw and no span read, when it is unitary
+    (`is_inner_product_compatible`).  Otherwise both are read off a2: the
+    eigenvectors of a generic Hermitian t in a2, in eigh's ascending order,
+    are the l fibers as consecutive blocks of k columns, the first fiber's
+    columns are its k cells as they come, and one more generic b in a2
+    carries that fiber into the others in one batched product, which
+    `grid_from_fibers` scales and lays out.  For a2 = U (1 ox M_l) U^* the
+    grid is U (W_0 ox Psi), W_0 unitary and Psi a unit-modulus diagonal,
+    which induces the pair whatever W_0 is.  The drawn grid's one gate is
     `_induces` (unitary, inducing exactly a1 and a2): a pair that is not a
     factor pair fails it, as does a transport that misses a fiber, and it
     implies all six checks of `_diagnose`, adjoint closure included.
@@ -371,7 +357,8 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
     if dims is None:
         return None
     grid = a1._grid
-    if grid is a2._grid and grid is not None and _induces(grid, a1, a2, tol):
+    if ((a1._side, a2._side) == (0, 1) and grid is a2._grid
+            and is_inner_product_compatible(grid, tol)):
         return grid
     k, l = dims
     n = a1.dim_space
@@ -390,22 +377,13 @@ def _witness(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
 
 def _certify(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int,
              tol: Tolerance) -> TppVerdict:
-    """The verdict of the pair, kept in a1._memo[a2][tol]: the witness
-    drawn from `seed` when there is one, else the six checks of `_diagnose`.
-    A pair that passes all six checks without a witness is not kept, so the
-    next call draws again; a refused input raises and is not kept either."""
-    verdict = a1._memo.get(a2, {}).get(tol)
-    if verdict is not None:
-        return verdict
+    """The verdict of the pair: the witness (drawn from `seed` when the pair
+    has no unitary grid of its own) when there is one, else the six checks
+    of `_diagnose`."""
     t = _witness(a1, a2, seed, tol)
     if t is not None:
-        verdict = TppVerdict(k=t.k, l=t.l, checks=dict.fromkeys(_CHECKS, True), tps=t)
-    else:
-        verdict = _diagnose(a1, a2, tol)
-        if verdict.is_tpp:
-            return verdict
-    a1._memo.setdefault(a2, {})[tol] = verdict
-    return verdict
+        return TppVerdict(k=t.k, l=t.l, checks=dict.fromkeys(_CHECKS, True), tps=t)
+    return _diagnose(a1, a2, tol)
 
 
 def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
@@ -413,22 +391,19 @@ def is_tpp(a1: OperatorAlgebra, a2: OperatorAlgebra,
     """Certify that an ordered algebra pair factors the full matrix algebra.
 
     Witness first: a pair with square span dimensions is certified by a
-    unitary grid basis U checked against the spans of U's own generators
-    for both algebras (`_induces`), which implies every named check.  U is
-    the grid that `tps_to_tpp` built both algebras from, when they share
-    one and it passes; else it is built from two generic elements of a2
-    alone.  Without a witness the six checks are evaluated directly, as
-    diagnostics of the failure: elementwise commutation, closure under
+    unitary grid basis U that induces it, which implies every named check.
+    U is the grid that `tps_to_tpp` built the pair from, in this order,
+    when it is unitary; else it is built from two generic elements of a2
+    alone and checked against the spans of its own generators for both
+    algebras (`_induces`).  Without a witness the six checks are evaluated
+    directly, as diagnostics of the failure: elementwise commutation, closure under
     adjoints, square span dimensions k^2, l^2 with k*l = n, mutual
-    commutants, trivial centers and a join of full dimension.  Only star-closed pairs are certified; star-closure is
-    implied by the witness, not checked before it.
+    commutants, trivial centers and a join of full dimension.  Only
+    star-closed pairs are certified; star-closure is implied by the
+    witness, not checked before it.
 
-    The verdict carries its witness in `tps` (None on a rejection) and is
-    kept on a1 per partner a2 and Tolerance: a later `is_tpp` or
-    `tpp_to_tps` of the same pair returns it without certifying again.  A
-    pair with no kept verdict and no grid that certifies it is drawn from
-    seed 0.  a1._memo holds each partner by weak reference, so its verdicts
-    go when the partner does.
+    The verdict carries its witness in `tps` (None on a rejection).  A pair
+    with no unitary grid of its own is drawn from seed 0.
     """
     return _certify(a1, a2, 0, tol)
 
@@ -437,16 +412,14 @@ def tpp_to_tps(a1: OperatorAlgebra, a2: OperatorAlgebra, seed: int = 0,
                tol: Tolerance = DEFAULT_TOL) -> Tps:
     """Construct a grid basis realizing a star-closed factor pair.
 
-    Returns the certification witness of the pair's verdict (see `is_tpp`),
-    which is always an inner-product-compatible (unitary) grid with a
-    read-only basis: for the pair of a unitary grid t, `tps_to_tpp(t)`,
-    that is t itself.  The verdict is kept on a1 per partner and Tolerance,
-    so `seed` picks the two draws from a2 (see `_witness`) only for a pair
-    that has no kept verdict yet and no grid of its own that certifies it;
-    any two witnesses are equivalent.  Without a witness: NotATpp names the
-    checks that fail, and GenericElementFailure means they all pass but the
-    draws found no basis (that outcome is not kept, so a call with another
-    seed draws again).
+    Returns the certification witness of the pair (see `is_tpp`), which is
+    always an inner-product-compatible (unitary) grid with a read-only
+    basis: for the pair of a unitary grid t, `tps_to_tpp(t)`, that is t
+    itself.  Any other pair's witness comes from the two draws from a2
+    that `seed` picks (see `_witness`); any two witnesses are equivalent.
+    Without a witness: NotATpp names the checks that fail, and
+    GenericElementFailure means they all pass but the draws from `seed`
+    found no basis, so a call with another seed may.
     """
     verdict = _certify(a1, a2, seed, tol)
     if verdict.tps is not None:

@@ -141,9 +141,8 @@ def _characteristic_sets(p: ObservablePair,
     if blocks is None:
         raise JointDegeneracy(
             "eigenspace of t is not invariant under r within tolerance")
-    if p.hermitian:
-        blocks = (blocks + blocks.conj().transpose(0, 2, 1)) / 2
-    # r's spectrum is the union of the fiber spectra
+    # r's spectrum is the union of the fiber spectra; eigh reads only each
+    # self-adjoint block's lower triangle
     r_centers, clusters, fvecs = _eigen_tiles(blocks, p.hermitian, tol)
     labels = np.empty(n, dtype=np.intp)
     labels[np.concatenate(clusters)] = np.repeat(np.arange(k), l)

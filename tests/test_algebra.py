@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import gc
 import pickle
 import sys
 import tracemalloc
@@ -23,7 +22,7 @@ from tpskit import (
     tps_new,
     tps_to_tpp,
 )
-from tpskit.algebra import OperatorAlgebra, TppVerdict, _diagnose, contains
+from tpskit.algebra import OperatorAlgebra, _diagnose, contains
 from tpskit.core import DEFAULT_TOL, Tolerance
 from tpskit.observables import (
     CharacteristicSets,
@@ -48,6 +47,30 @@ from oracles import reference_induces
 
 XX = np.kron(np.array([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]])).astype(complex)
 ZZ = np.kron(np.diag([1, -1]), np.diag([1, -1])).astype(complex)
+
+
+def _on_four_and_six():
+    """A unital algebra on C^4 and one on C^6."""
+    return algebra_generate([XX, ZZ]), tps_to_tpp(god_given(2, 3))[0]
+
+
+@pytest.mark.parametrize("call, refused", [
+    (lambda: algebra_generate([]), DimensionMismatch),
+    (lambda: algebra_generate([np.eye(2), np.eye(3)]), DimensionMismatch),
+    (lambda: join(*_on_four_and_six()), DimensionMismatch),
+    (lambda: is_tpp(*_on_four_and_six()), DimensionMismatch),
+    (lambda: tps_equivalent(god_given(2, 2), god_given(2, 3)), DimensionMismatch),
+    (lambda: span_equal(*_on_four_and_six()), None),
+], ids=["generate_nothing", "generate_mixed_shapes", "join_across_spaces",
+        "is_tpp_across_spaces", "equivalent_across_dims", "span_equal_across_spaces"])
+def test_inputs_on_different_spaces_are_refused(call, refused):
+    # span_equal answers False rather than raise: spans on different spaces
+    # are not equal
+    if refused is None:
+        assert call() is False
+    else:
+        with pytest.raises(refused):
+            call()
 
 
 def test_generate_pauli_pair_closes_at_dim_four():
@@ -412,12 +435,42 @@ def test_a_transport_that_misses_a_fiber_falls_back_to_the_six_checks(monkeypatc
     verdict = is_tpp(a1, a2)
     assert verdict.is_tpp and verdict.tps is None
     assert dict(verdict.checks) == dict.fromkeys(tpskit.algebra._CHECKS, True)
-    assert not a1._memo  # certified without a witness: not kept
     drawn.clear()
     with pytest.raises(GenericElementFailure):
         tpp_to_tps(a1, a2, seed=0)
     monkeypatch.undo()
     assert tps_equivalent(t, tpp_to_tps(a1, a2, seed=0)).equivalent
+
+
+def test_a_unitary_grids_pair_is_certified_by_its_grid_alone(monkeypatch):
+    # tps_to_tpp(t) induces its pair by construction: the one test is that
+    # t is unitary, with no span read and no draw
+    rng = np.random.default_rng(73)
+    grids = [tps_new(k, l, random_unitary(rng, k * l))
+             for k, l in ((2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (6, 6))]
+    pairs = [tps_to_tpp(t) for t in grids]
+    forbid_algebra(monkeypatch, "_grid_spans", "_projection_residual",
+                   "_draw_generic_hermitian")
+    for t, pair in zip(grids, pairs):
+        verdict = is_tpp(*pair)
+        assert verdict.is_tpp and verdict.tps is t and (verdict.k, verdict.l) == t.shape
+        assert tpp_to_tps(*pair, seed=5) is t
+
+
+def test_a_grids_pair_out_of_order_is_not_certified_by_that_grid():
+    # t induces (a1, a2) only: the swapped pair is certified by a drawn
+    # witness of shape l x k, and one algebra twice is no factor pair
+    rng = np.random.default_rng(75)
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        t = tps_new(k, l, random_unitary(rng, k * l))
+        a1, a2 = tps_to_tpp(t)
+        swapped = is_tpp(a2, a1)
+        assert swapped.is_tpp and (swapped.k, swapped.l) == (l, k)
+        assert swapped.tps is not t
+        assert tps_equivalent(swap_factors(t), swapped.tps).equivalent
+        for a in (a1, a2):
+            verdict = is_tpp(a, a)
+            assert not verdict.is_tpp and verdict.tps is None, (k, l)
 
 
 def test_a_zero_transport_is_refused_before_any_division(monkeypatch):
@@ -587,25 +640,28 @@ def test_contains_is_scale_invariant():
     assert contains(a1, np.zeros((4, 4)))
 
 
-def test_certify_then_build_draws_one_witness(monkeypatch):
+def test_build_after_certify_draws_from_its_own_seed(monkeypatch):
+    # a grid-less pair keeps no verdict: each call draws its witness from
+    # its own seed, and any two witnesses are equivalent
     calls = count_calls(monkeypatch, tpskit.algebra, "_witness")
     t = tps_new(2, 3, random_unitary(np.random.default_rng(51), 6))
-    a1, a2 = tps_to_tpp(t)
+    a1, a2 = map(copy.copy, tps_to_tpp(t))
     assert is_tpp(a1, a2).is_tpp
     back = tpp_to_tps(a1, a2, seed=7)
-    assert tpp_to_tps(a1, a2) is back
-    assert len(calls) == 1 and calls[0][2] == 0
-    assert tps_equivalent(t, back).equivalent
+    again = tpp_to_tps(a1, a2)
+    assert [args[2] for args in calls] == [0, 7, 0]
+    assert tps_equivalent(t, back).equivalent and tps_equivalent(t, again).equivalent
 
 
-def test_rejected_pair_is_diagnosed_once(monkeypatch):
+def test_rejected_pair_is_diagnosed_once_per_call(monkeypatch):
     calls = count_calls(monkeypatch, tpskit.algebra, "_diagnose")
     diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
     verdict = is_tpp(diag, diag)
     assert not verdict.checks["trivial_center"] and verdict.tps is None
+    assert len(calls) == 1
     with pytest.raises(NotATpp) as err:
         tpp_to_tps(diag, diag)
-    assert len(calls) == 1
+    assert len(calls) == 2
     for name, ok in verdict.checks.items():
         assert (name in str(err.value)) == (not ok), name
 
@@ -618,20 +674,7 @@ def test_other_partner_or_tolerance_recertifies(monkeypatch):
     first = is_tpp(a1, a2)
     assert is_tpp(a1, twin) is not first and len(calls) == 2
     assert is_tpp(a1, a2, loose) is not first and len(calls) == 3
-    assert is_tpp(a1, a2) is first and is_tpp(a1, a2, Tolerance(eig_cluster=1e-7)).is_tpp
     assert len(calls) == 3
-
-
-def test_partner_verdicts_go_with_their_partners():
-    # a1 holds its partners by weak reference: a verdict lives as long as
-    # its partner
-    a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(55), 4)))
-    partners = [OperatorAlgebra(span_basis=a2.span_basis) for _ in range(50)]
-    verdicts = [is_tpp(a1, b) for b in partners]
-    assert len(a1._memo) == 50 and all(v.is_tpp for v in verdicts)
-    del partners
-    gc.collect()
-    assert not a1._memo
 
 
 def test_pair_without_witness_is_drawn_again(monkeypatch):
@@ -680,7 +723,6 @@ def test_span_basis_is_a_read_only_copy():
 def test_build_after_certify_returns_the_verdicts_witness():
     a1, a2 = tps_to_tpp(tps_new(3, 2, random_unitary(np.random.default_rng(54), 6)))
     verdict = is_tpp(a1, a2)
-    assert is_tpp(a1, a2) is verdict
     assert tpp_to_tps(a1, a2) is verdict.tps
     with pytest.raises(ValueError):
         verdict.tps.basis[0, 0] = 0
@@ -732,20 +774,20 @@ def test_round_trip_takes_one_svd_per_grid(monkeypatch):
     assert [args[0].shape for args in calls] == [(12, 12), (9, 16)]
 
 
-def test_verdict_checks_are_read_only():
+def test_verdict_checks_are_each_calls_own():
+    # checks is a plain dict: a write to one verdict's checks reaches no
+    # later verdict of the same pair
     a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(63), 4)))
     diag = algebra_generate([np.diag([1.0, 2, 3, 4]).astype(complex)])
-    for pair in ((a1, a2), (diag, diag)):
+    diag_checks = dict(dict.fromkeys(tpskit.algebra._CHECKS, True),
+                       trivial_center=False, join_full=False)
+    for pair, expected in (((a1, a2), dict.fromkeys(tpskit.algebra._CHECKS, True)),
+                           ((diag, diag), diag_checks)):
         verdict = is_tpp(*pair)
-        expected = dict(verdict.checks)
-        with pytest.raises(TypeError):
-            verdict.checks["commute"] = not expected["commute"]
+        assert verdict.checks == expected and verdict.is_tpp == all(expected.values())
+        verdict.checks["commute"] = False
         again = is_tpp(*pair)
-        assert again is verdict and dict(again.checks) == expected
-    checks = dict.fromkeys(tpskit.algebra._CHECKS, True)
-    verdict = TppVerdict(k=2, l=2, checks=checks)
-    checks["commute"] = False
-    assert verdict.checks["commute"] and verdict.is_tpp
+        assert again is not verdict and again.checks == expected
 
 
 def test_ill_conditioned_grid_spans_do_not_depend_on_the_tolerance():
@@ -814,8 +856,6 @@ def test_verdicts_pickle_and_copy_with_read_only_checks():
     verdict = is_tpp(a1, a2)
     for twin in (pickle.loads(pickle.dumps(verdict)), copy.deepcopy(verdict)):
         assert twin == verdict and twin.checks == verdict.checks
-        with pytest.raises(TypeError):
-            twin.checks["commute"] = False
         assert np.array_equal(twin.tps.basis, verdict.tps.basis)
         assert np.array_equal(twin.tps.singular_values, verdict.tps.singular_values)
         with pytest.raises(ValueError):
@@ -875,14 +915,14 @@ def test_witness_is_read_off_the_second_algebra(monkeypatch):
 
 
 def test_copies_of_a_certified_algebra_keep_no_verdicts(monkeypatch):
-    # a copy is rebuilt through __init__: a read-only span of its own and an
-    # empty memo, so it certifies again rather than answer for another span
+    # a copy is rebuilt through __init__: a read-only span of its own and no
+    # grid, so it certifies by a drawn witness rather than answer for another span
     a1, a2 = tps_to_tpp(tps_new(2, 2, random_unitary(np.random.default_rng(68), 4)))
-    assert is_tpp(a1, a2).is_tpp and a1._memo
+    assert is_tpp(a1, a2).is_tpp
     calls = count_calls(monkeypatch, tpskit.algebra, "_witness")
     for c1, c2 in (pickle.loads(pickle.dumps((a1, a2))), copy.deepcopy((a1, a2)),
                    (copy.copy(a1), a2)):
-        assert c1.span_basis is not a1.span_basis and not c1._memo
+        assert c1.span_basis is not a1.span_basis
         assert np.array_equal(c1.span_basis, a1.span_basis)
         assert (c1.dim_space, c1.unital) == (a1.dim_space, a1.unital)
         with pytest.raises(ValueError):

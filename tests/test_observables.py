@@ -205,6 +205,34 @@ def test_tpp_from_complementary_shared_r_eigenspaces():
     assert tps_equivalent(tps_from_observables(p1), tps).equivalent
 
 
+def test_families_of_equal_count_and_size_are_matched_space_by_space(monkeypatch):
+    # p2 = (B (K ox 1) B^-1, F D F^-1) on the chained grid F = B (X ox 1),
+    # x_j = e_{j-1} + e_j, with t2 = mu_{(i+j) mod l} on cell (j, i), a
+    # Latin square: both pairs have l t-eigenspaces of dimension k and k
+    # r-eigenspaces of dimension l, yet neither family is shared
+    rng = np.random.default_rng(74)
+    for k, l in ((2, 2), (2, 3), (3, 3)):
+        n = k * l
+        b = random_unitary(rng, n)
+        lam = np.arange(k, dtype=float) + rng.uniform(0.1, 0.4, size=k)
+        mu = np.arange(l, dtype=float) + rng.uniform(0.1, 0.4, size=l)
+        p1 = observable_pair(b @ np.kron(np.diag(lam), np.eye(l)) @ b.conj().T,
+                             b @ np.kron(np.eye(k), np.diag(mu)) @ b.conj().T)
+        assert p1.hermitian
+        x = np.eye(k) + np.eye(k, k=1)
+        f = b @ np.kron(x, np.eye(l))
+        d = np.diag([mu[(i + j) % l] for j in range(k) for i in range(l)])
+        p2 = observable_pair(b @ np.kron(_chain_matrix(lam.astype(complex)), np.eye(l))
+                             @ b.conj().T, f @ d @ np.linalg.inv(f))
+        cs2 = verify_standard_complete(p2)
+        assert (cs2.k, cs2.l) == (k, l)
+        calls = count_calls(monkeypatch, tpskit.observables, "_match_sets")
+        assert not verify_complementary(p1, p2)
+        assert len(calls) == 2  # the M family, then the N family
+        assert all(len(s1) == len(s2) and s1.shape == s2.shape for s1, s2, _ in calls)
+        monkeypatch.undo()
+
+
 def test_non_isomorphic_fibers_fail_at_the_intertwiner(monkeypatch):
     # p2 keeps t; r2 is the chained operator on the first t-eigenspace and
     # its transpose or diag(lambda) on the others, so r and r2 act
