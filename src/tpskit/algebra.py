@@ -180,9 +180,9 @@ def commutant(a: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgeb
     """All matrices commuting with every span element, as a unital algebra.
 
     The null space of X -> gX - Xg over the span basis comes from
-    `intertwiners` as Frobenius-orthonormal matrices, which are wrapped as
-    they are once re-checked against the actual commutator residual (a
-    running maximum over the span elements, one at a time).
+    `intertwiners` as Frobenius-orthonormal matrices; those whose actual
+    commutator residual (a running maximum over the span elements) exceeds
+    1e-7 are dropped, as the Gram cut keeps some for ill-conditioned spans.
     """
     xs = intertwiners(a.span_basis, a.span_basis, 1e-12)
     worst = np.zeros(xs.shape[0])
@@ -307,7 +307,6 @@ def _diagnose(a1: OperatorAlgebra, a2: OperatorAlgebra,
     checks["join_full"] = checks["commute"] and numeric_rank(
         (a1.span_basis[:, None] @ ys).reshape(-1, n * n), tol) == n * n
 
-    checks = {name: bool(v) for name, v in checks.items()}
     k, l = dims if dims is not None else (0, 0)
     return TppVerdict(k=k, l=l, checks=checks)
 

@@ -10,19 +10,19 @@ irreducibility only for a self-adjoint pair: the pairs of
 `complementary_pair` generate the reducible upper-triangular algebra on a
 fiber.  A partner built by `complementary_pair` carries its characteristic
 sets, written down from the first pair's, so the kernel runs once per
-complementary round trip.
+complementary round trip.  Complementarity itself is decided afresh by each
+call, and `tpp_from_complementary` builds from that one decision.
 """
 
 from __future__ import annotations
 
-import weakref
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algebra import contains, tps_to_tpp
+from .algebra import tps_to_tpp
 from .core import (
     COND_LIMIT,
     DEFAULT_TOL,
@@ -50,15 +50,14 @@ from .tps import Tps, _unitary_tps, is_inner_product_compatible, tps_new
 @dataclass(frozen=True, eq=False)
 class ObservablePair(Frozen):
     """A commuting operator pair.  r and t are private read-only copies, so
-    the characteristic sets kept in _memo (by Tolerance) and the data kept
-    in _partners (by weakly held partner, then Tolerance) stay valid;
+    the characteristic sets kept in _memo (by Tolerance) stay valid;
     hermitian (both self-adjoint) is `observable_pair`'s test of r and t,
-    at the Tolerance of the call that built the pair, else DEFAULT_TOL."""
+    at the Tolerance of the call that built the pair, else DEFAULT_TOL.
+    Nothing about a partner is kept."""
 
     r: np.ndarray
     t: np.ndarray
     _memo = cached_property(lambda self: {})
-    _partners = cached_property(lambda self: weakref.WeakKeyDictionary())
 
     @cached_property
     def hermitian(self) -> bool:
@@ -320,16 +319,6 @@ def _fiber_scales(op2: np.ndarray, spaces: np.ndarray, cells: np.ndarray,
     return scales
 
 
-def _complementary_data(p1: ObservablePair, p2: ObservablePair,
-                        tol: Tolerance):
-    """The complementarity data of the pair, None included, kept in
-    p1._partners[p2][tol]; a pair whose characteristic sets raise is not kept."""
-    if tol not in p1._partners.get(p2, {}):
-        data = _find_complementary_data(p1, p2, tol)
-        p1._partners.setdefault(p2, {})[tol] = data
-    return p1._partners[p2][tol]
-
-
 def _find_complementary_data(p1: ObservablePair, p2: ObservablePair,
                              tol: Tolerance):
     """The first shared family that passes `_fiber_scales`, M before N, as
@@ -351,24 +340,28 @@ def _find_complementary_data(p1: ObservablePair, p2: ObservablePair,
 def verify_complementary(p1: ObservablePair, p2: ObservablePair,
                          tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the pairs share one characteristic family, on which they are
-    fiberwise isomorphic with only the scalars as joint commutant.  The data
-    is kept on p1 per partner and Tolerance, so `tpp_from_complementary` of
-    the same pair does not test it again.  p1 holds each partner by weak
-    reference, so that data goes when the partner does."""
-    return _complementary_data(p1, p2, tol) is not None
+    fiberwise isomorphic with only the scalars as joint commutant.  This is
+    the one decision `tpp_from_complementary` also reads; nothing is kept
+    between calls, so each call decides afresh."""
+    return _find_complementary_data(p1, p2, tol) is not None
 
 
 def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
                            tol: Tolerance = DEFAULT_TOL):
     """The unique factor pair containing both complementary pairs, plus the
-    grid structure it induces.
+    grid structure it induces; raises NotComplementary exactly when
+    `verify_complementary` is False.
 
     The grid is the first pair's cells, each fiber scaled by its
     intertwiner onto the first; `grid_from_fibers` fixes the free scalar
-    per fiber and lays the fibers out.  It keeps its adjoint as its inverse
-    when it is unitary for a self-adjoint first pair, else goes to `tps_new`.
+    per fiber and lays the fibers out.  Both pairs lie in its factor pair by
+    construction, to the kernel's precision, so membership is not tested
+    again: the cells are p1's joint eigenvectors, one operator of each pair
+    is a scalar on each shared fiber, and the scales make p2's other one the
+    same matrix on every fiber.  The grid keeps its adjoint as its inverse when it is
+    unitary for a self-adjoint first pair, else goes to `tps_new`.
     """
-    data = _complementary_data(p1, p2, tol)
+    data = _find_complementary_data(p1, p2, tol)
     if data is None:
         raise NotComplementary("pairs are not complementary")
     cs, fibers, axis = data
@@ -377,10 +370,4 @@ def tpp_from_complementary(p1: ObservablePair, p2: ObservablePair,
     structure = _unitary_tps(cs.k, cs.l, basis) if p1.hermitian else None
     if structure is None or not is_inner_product_compatible(structure, tol):
         structure = tps_new(cs.k, cs.l, basis, tol)
-    a1, a2 = tps_to_tpp(structure)
-    for op, alg, name in ((p1.r, a1, "r1"), (p2.r, a1, "r2"),
-                          (p1.t, a2, "t1"), (p2.t, a2, "t2")):
-        if not contains(alg, op, tol):
-            raise NotComplementary(
-                f"{name} does not lie in the constructed algebra pair")
-    return a1, a2, structure
+    return (*tps_to_tpp(structure), structure)

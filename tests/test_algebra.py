@@ -171,6 +171,16 @@ def test_tps_to_tpp_mutual_commutants():
         assert a1.dim * a2.dim == n * n
 
 
+def test_commutant_recheck_drops_a_near_null_direction():
+    # the first algebra of a 2x4 grid at cond 1e8: the Gram eigenvalue cut
+    # of `intertwiners` keeps a 17th direction whose commutator residual is
+    # about 6e-7; the recheck drops it, leaving the 16 of 1 ox M_4
+    rng = np.random.default_rng(0)
+    b = (random_unitary(rng, 8) * np.logspace(0, -8, 8)) @ random_unitary(rng, 8)
+    a1, _ = tps_to_tpp(tps_new(2, 4, b))
+    assert a1.dim == 4 and commutant(a1).dim == 16
+
+
 def test_join_reaches_full_algebra():
     rng = np.random.default_rng(34)
     t = tps_new(2, 3, random_invertible(rng, 6))
@@ -288,6 +298,14 @@ def test_is_tpp_matches_six_check_diagnostic():
             assert failed == must_fail and got.is_tpp == (not must_fail), name
             verdicts.append((got.is_tpp, got.k, got.l, dict(got.checks)))
         assert verdicts[0] == verdicts[1], name
+
+
+def test_checks_are_python_bools():
+    # the CLI emits them as JSON, which refuses numpy's bool_
+    for name, pair, _ in _parity_corpus():
+        for a1, a2 in (pair, tuple(map(copy.copy, pair))):
+            for verdict in (is_tpp(a1, a2), _diagnose(a1, a2, DEFAULT_TOL)):
+                assert all(type(v) is bool for v in verdict.checks.values()), name
 
 
 def test_non_commuting_rejection_forms_no_product_stack():

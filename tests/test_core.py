@@ -27,7 +27,13 @@ from tpskit.core import (
 from tpskit.errors import DimensionMismatch, NumericOverflow, TpskitError
 
 from oracles import single_linkage_clusters
-from util import random_invertible, random_standard_pair, random_state, random_unitary
+from util import (
+    count_calls,
+    random_invertible,
+    random_standard_pair,
+    random_state,
+    random_unitary,
+)
 
 
 def test_tolerance_validation():
@@ -47,6 +53,25 @@ def test_as_matrix_shape_and_finiteness():
         as_matrix(np.array([[np.inf, 0], [0, 0]]))
     m = as_matrix([[1, 2], [3, 4]])
     assert m.dtype == np.complex128
+
+
+@pytest.mark.parametrize("bad, shape", [
+    (np.zeros((2, 2, 2)), {}),
+    (np.zeros((2, 3)), {"cols": 2}),
+], ids=["three_axes", "wrong_cols"])
+def test_as_matrix_refuses_a_wrong_shape(bad, shape):
+    with pytest.raises(DimensionMismatch):
+        as_matrix(bad, **shape)
+
+
+def test_empty_input_has_no_clusters_and_no_rank(monkeypatch):
+    assert cluster_values(np.array([]), DEFAULT_TOL) == []
+    assert singular_rank(np.array([])) == 0
+    # an empty matrix is answered before any SVD
+    svds = count_calls(monkeypatch, np.linalg, "svd")
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert numeric_rank(np.zeros(shape)) == 0
+    assert svds == []
 
 
 def test_as_vector():

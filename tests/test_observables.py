@@ -1,5 +1,4 @@
 import copy
-import gc
 import pickle
 
 import numpy as np
@@ -577,9 +576,11 @@ def test_complementary_grid_of_a_self_adjoint_pair_keeps_its_adjoint(
     inverses = count_calls(monkeypatch, np.linalg, "inv")
     svds = count_calls(monkeypatch, np.linalg, "svd")
     _, _, structure = tpp_from_complementary(p1, p2)
-    # a unitary grid takes no rank test and no LU; a general one the rank
-    # test of tps_new and its LU, and tps_to_tpp no SVD
-    assert (len(inverses), len(svds)) == ((0, 0) if unitary else (1, 1))
+    # the kernel's batched SVD of the fiber systems; then a unitary grid
+    # takes no rank test and no LU, a general one the rank test of tps_new
+    # and its LU, and tps_to_tpp no SVD
+    assert (len(inverses), len(svds)) == ((0, 1) if unitary else (1, 2))
+    assert svds[0][0].ndim == 3
     if unitary:
         np.testing.assert_array_equal(structure.inverse,
                                       structure.basis.conj().T)
@@ -647,7 +648,8 @@ def test_check_then_build_solves_the_condition_once(monkeypatch):
     p2 = complementary_pair(p1, verify_standard_complete(p1))
     assert verify_complementary(p1, p2)
     a1, a2, _ = tpp_from_complementary(p1, p2)
-    assert len(calls) == 1
+    # nothing is kept between the calls: each solves it once
+    assert len(calls) == 2
     assert contains(a1, p2.r) and contains(a2, p2.t)
 
 
@@ -661,22 +663,76 @@ def test_other_partner_or_tolerance_retests_complementarity(monkeypatch):
     assert verify_complementary(p1, twin) and len(calls) == 2
     assert verify_complementary(p1, p2, Tolerance(eig_cluster=1e-7))
     assert len(calls) == 3
-    # a refusal (the pair against itself) is kept too
+    # the same question asked again is decided again, a refusal included;
+    # only p1's own sets are kept, by Tolerance
+    assert verify_complementary(p1, p2) and len(calls) == 4
     for _ in range(2):
         assert not verify_complementary(p1, p1)
-    assert len(calls) == 5
+    assert len(calls) == 8
+    assert DEFAULT_TOL in p1._memo
 
 
-def test_partner_data_goes_with_its_partner():
-    # p1 holds its partners by weak reference, its own sets by Tolerance
-    p1 = observable_pair(*random_standard_pair(np.random.default_rng(77), 2, 3))
+def test_a_pair_that_verifies_is_built_at_cond_1e5():
+    # a general 2x3 first pair whose grid has cond 1e5; r1's relative
+    # residual in the built first algebra is about 1.2e-8, past a fixed
+    # 1e-8 membership bound, yet the grid is the first pair's own
+    rng = np.random.default_rng(5009)
+    q1, q2 = (np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+              for _ in range(2))
+    g = (q1 * np.logspace(0, 5, 6)) @ q2
+    lam = np.arange(2) + rng.uniform(0.1, 0.4, size=2)
+    mu = np.arange(3) + rng.uniform(0.1, 0.4, size=3)
+    gi = np.linalg.inv(g)
+    p1 = observable_pair(g @ np.kron(np.diag(lam), np.eye(3)) @ gi,
+                         g @ np.kron(np.eye(2), np.diag(mu)) @ gi)
     p2 = complementary_pair(p1, verify_standard_complete(p1))
-    partners = [copy.copy(p2) for _ in range(20)]
-    assert all(verify_complementary(p1, p) for p in partners)
-    assert len(p1._partners) == 20
-    del partners
-    gc.collect()
-    assert not p1._partners and DEFAULT_TOL in p1._memo
+    assert verify_complementary(p1, p2)
+    _, _, structure = tpp_from_complementary(p1, p2)
+    assert structure.shape == (2, 3)
+    assert tps_equivalent(structure, tps_from_observables(p1)).equivalent
+
+
+def test_verify_and_build_decide_general_pairs_alike():
+    # general first pairs at cond 1e2-1e5, each with its chained partner
+    # (complementary) and against itself (not): the build refuses exactly
+    # what the check refuses, for the same reason, and builds p1's grid
+    rng = np.random.default_rng(5010)
+    built = 0
+    for cond in np.logspace(2, 5, 8):
+        for k, l in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)):
+            for _ in range(3):
+                p1 = _pair_on_basis(rng, k, l, cond)
+                partner = _outcome(
+                    lambda: complementary_pair(p1, verify_standard_complete(p1)))
+                if not isinstance(partner, ObservablePair):
+                    continue
+                for p2 in (partner, p1):
+                    case = (cond, k, l, p2 is p1)
+                    verdict = _outcome(lambda: verify_complementary(p1, p2))
+                    got = _outcome(lambda: tpp_from_complementary(p1, p2))
+                    if verdict is True:
+                        assert isinstance(got, tuple), case
+                        assert tps_equivalent(
+                            got[2], tps_from_observables(p1)).equivalent, case
+                        built += 1
+                    else:
+                        assert got is (NotComplementary if verdict is False
+                                       else verdict), case
+    assert built >= 120
+
+
+def test_fiber_scales_refuse_a_family_op2_does_not_keep():
+    # the eigenspaces of t1 against a generic op2, which maps them out of
+    # themselves: no restriction, so no scales; the partner's r keeps them
+    rng = np.random.default_rng(63)
+    p1 = observable_pair(*random_standard_pair(rng, 2, 3))
+    cs = verify_standard_complete(p1)
+    cells = cs.grid.reshape(-1, 2, 3).transpose(2, 0, 1)
+    generic = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    fiber_scales = tpskit.observables._fiber_scales
+    assert fiber_scales(generic, cs.M, cells, DEFAULT_TOL) is None
+    partner = complementary_pair(p1, cs)
+    assert fiber_scales(partner.r, cs.M, cells, DEFAULT_TOL) is not None
 
 
 def test_restriction_bound_is_relative_to_the_operator():

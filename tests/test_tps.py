@@ -573,7 +573,7 @@ def test_schmidt_report_arrays_are_read_only():
               poly_state(("x1", "x2"), 3, rng.normal(size=(3, 3))))
     t.singular_values, t.inverse, report.left_vectors, a2.unital
     is_tpp(a1, a2)
-    assert verify_complementary(p, p2) and p._memo and p._partners
+    assert verify_complementary(p, p2) and p._memo
     for v in values:
         fields = {f.name for f in dataclasses.fields(v)}
         for twin in (v, pickle.loads(pickle.dumps(v)), copy.copy(v),
