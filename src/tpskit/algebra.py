@@ -17,12 +17,14 @@ Gaussian combination of its span basis.  Adjoint closure follows from a
 unitary witness.
 The six structural checks (commutation, adjoint closure, square dimensions,
 mutual commutants, trivial centers, full join) run only when no witness is
-found, as diagnostics of the failure.  Nothing is kept between calls: each
-`is_tpp` or `tpp_to_tps` certifies afresh.
+found, as diagnostics of the failure.  No verdict is kept between calls:
+each `is_tpp` or `tpp_to_tps` certifies afresh, reading a grid's unitarity
+from the defect the grid keeps (`Tps.unitarity_defect`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -273,8 +275,7 @@ def _draw_generic_hermitian(a: OperatorAlgebra, rng: np.random.Generator) -> np.
 
 def _factor_dims(a1: OperatorAlgebra, a2: OperatorAlgebra):
     """(k, l) when the spans have dimensions k^2, l^2 with k*l = n, else None."""
-    k = int(round(np.sqrt(a1.dim)))
-    l = int(round(np.sqrt(a2.dim)))
+    k, l = math.isqrt(a1.dim), math.isqrt(a2.dim)
     if k * k == a1.dim and l * l == a2.dim and k * l == a1.dim_space:
         return k, l
     return None

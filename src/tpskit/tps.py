@@ -21,8 +21,8 @@ from .errors import (ConvergenceFailure, DimensionMismatch, NumericOverflow,
 @dataclass(frozen=True, eq=False)
 class Tps(Frozen):
     """A k-by-l grid structure on C^n, n = k*l, k, l >= 1.  basis is a
-    private read-only n x n copy, so the singular values and the inverse
-    kept with it cannot go stale."""
+    private read-only n x n copy, so the singular values, the inverse and
+    the unitarity defect kept with it cannot go stale."""
 
     k: int
     l: int
@@ -60,6 +60,13 @@ class Tps(Frozen):
             raise SingularBasis("basis matrix is singular") from e
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def unitarity_defect(self) -> float:
+        """||B^* B - 1||_F for the basis B, from one Gram product (no SVD)
+        on first use, read by every `is_inner_product_compatible` test of
+        this grid."""
+        return float(np.linalg.norm(self.basis.conj().T @ self.basis - np.eye(self.dim)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -192,10 +199,10 @@ def is_product(w, t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_inner_product_compatible(t: Tps, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the grid basis B is unitary, i.e. the factorwise inner products
-    multiply out to the ambient one: ||B^* B - 1||_F, read from one product
-    (no SVD), is within 10 * residual * n."""
-    defect = np.linalg.norm(t.basis.conj().T @ t.basis - np.eye(t.dim))
-    return bool(defect <= 10 * tol.residual * t.dim)
+    multiply out to the ambient one: the grid's kept ||B^* B - 1||_F
+    (`Tps.unitarity_defect`, one Gram product per grid) is within
+    10 * residual * n."""
+    return t.unitarity_defect <= 10 * tol.residual * t.dim
 
 
 def swap_factors(t: Tps) -> Tps:
@@ -210,16 +217,18 @@ def tps_equivalent(t1: Tps, t2: Tps, tol: Tolerance = DEFAULT_TOL) -> Equivalenc
     (swapped=False) or the basis of ``swap_factors(t2)`` (swapped=True).
     Rearranged (Van Loan-Pitsianis) with P[j, j'] Q[i, i'] at row (j, j'),
     column (i, i'), M has rank one exactly then: its second singular value
-    is zero up to max(rank_rel, n * eps * cond(B1)) times the first.
+    is zero up to max(rank_rel, n * eps * cond(B1)) times the first.  The
+    swapped grid is built only when B2 fails and t2 is l x k.
     """
     if t1.dim != t2.dim:
         raise DimensionMismatch("structures live on different spaces")
     (k, l), eps = t1.shape, np.finfo(float).eps
     s1 = t1.singular_values
     floor = max(tol.rank_rel, t1.dim * eps * s1[0] / s1[-1])
-    for swapped, t in ((False, t2), (True, swap_factors(t2))):
-        if t.shape == t1.shape:
-            m = _solve(t1, t.basis).reshape(k, l, k, l)
+    for swapped, shape in ((False, (k, l)), (True, (l, k))):
+        if t2.shape == shape:
+            b = swap_factors(t2).basis if swapped else t2.basis
+            m = _solve(t1, b).reshape(k, l, k, l)
             s = np.linalg.svd(m.transpose(0, 2, 1, 3).reshape(k * k, l * l),
                               compute_uv=False)
             if s.size == 1 or s[1] <= floor * s[0]:

@@ -692,6 +692,18 @@ def test_a_pair_that_verifies_is_built_at_cond_1e5():
     assert tps_equivalent(structure, tps_from_observables(p1)).equivalent
 
 
+def test_the_rank_guard_refuses_what_the_conditioning_guard_lets_through():
+    # a general 2x3 pair whose grid has cond(B) 1e4-3e4, below COND_LIMIT:
+    # a rank_rel above 1 / COND_LIMIT makes the grid rank deficient
+    rng = np.random.default_rng(5011)
+    for _ in range(4):
+        p = _pair_on_basis(rng, 2, 3, 2e4)
+        s = np.linalg.svd(verify_standard_complete(p).grid, compute_uv=False)
+        assert 1e4 < s[0] / s[-1] < 3e4
+        with pytest.raises(JointDegeneracy, match="not linearly independent"):
+            verify_standard_complete(p, Tolerance(rank_rel=1e-3))
+
+
 def test_verify_and_build_decide_general_pairs_alike():
     # general first pairs at cond 1e2-1e5, each with its chained partner
     # (complementary) and against itself (not): the build refuses exactly

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tpskit.tps
 from tpskit import (
     coefficient_matrix,
     coefficient_schmidt,
@@ -345,10 +346,14 @@ def test_kept_singular_values_are_a_read_only_svd_of_the_basis():
     u = tps_new(2, 3, random_unitary(rng, 6))
     witness = tpp_to_tps(*tps_to_tpp(u))
     for grid in (t, u, swap_factors(t), god_given(2, 3), witness):
-        s, x = grid.singular_values, grid.inverse
+        s, x, d = grid.singular_values, grid.inverse, grid.unitarity_defect
         assert np.array_equal(s, np.linalg.svd(grid.basis, compute_uv=False))
         assert np.array_equal(x, np.linalg.inv(grid.basis))
+        assert d == np.linalg.norm(grid.basis.conj().T @ grid.basis - np.eye(6))
         assert grid.singular_values is s and grid.inverse is x
+        assert vars(grid)["unitarity_defect"] is d
+        with pytest.raises(AttributeError):
+            grid.unitarity_defect = 0.0
         for a in (grid.basis, s, x):
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -363,13 +368,18 @@ def test_kept_singular_values_are_a_read_only_svd_of_the_basis():
         Tps(k=2, l=3, basis=b, singular_values=t.singular_values)
     with pytest.raises(TypeError, match="inverse"):
         Tps(k=2, l=3, basis=b, inverse=t.inverse)
+    with pytest.raises(TypeError, match="unitarity_defect"):
+        Tps(k=2, l=3, basis=b, unitarity_defect=0.0)
     other = dataclasses.replace(t, basis=b)
     assert np.array_equal(other.singular_values, np.linalg.svd(b, compute_uv=False))
     assert np.array_equal(other.inverse, np.linalg.inv(b))
-    # a pickled copy recomputes them from its own basis
-    twin = pickle.loads(pickle.dumps(t))
-    assert "singular_values" not in vars(twin) and "inverse" not in vars(twin)
-    assert np.array_equal(twin.inverse, t.inverse) and twin.inverse is not t.inverse
+    assert other.unitarity_defect == np.linalg.norm(b.conj().T @ b - np.eye(6))
+    # a copy or a pickle recomputes them from its own basis
+    kept = ("singular_values", "inverse", "unitarity_defect")
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert not any(name in vars(twin) for name in kept)
+        assert np.array_equal(twin.inverse, t.inverse) and twin.inverse is not t.inverse
+        assert twin.unitarity_defect == t.unitarity_defect
 
 
 def test_one_inverse_per_grid(monkeypatch):
@@ -384,6 +394,34 @@ def test_one_inverse_per_grid(monkeypatch):
         schmidt(random_state(rng, 6), t)
     assert tps_equivalent(t, witness).equivalent
     assert len(inverses) == 1 and len(solves) == 0
+
+
+def test_a_grid_is_measured_once_on_the_certify_round_trip(monkeypatch):
+    # is_tpp and tpp_to_tps of a grid's own pair both gate on its
+    # unitarity, which reads the defect the grid keeps: one Gram product
+    t = tps_new(2, 3, random_unitary(np.random.default_rng(31), 6))
+    pair = tps_to_tpp(t)
+    norms = count_calls(monkeypatch, np.linalg, "norm")
+    assert is_tpp(*pair).tps is t and tpp_to_tps(*pair) is t
+    assert len(norms) == 1
+
+
+def test_the_swapped_grid_is_built_only_when_it_can_decide(monkeypatch):
+    rng = np.random.default_rng(37)
+    swaps = count_calls(monkeypatch, tpskit.tps, "swap_factors")
+    t = tps_new(3, 3, random_invertible(rng, 9))
+    a = tps_new(2, 3, random_invertible(rng, 6))
+    # an equivalent pair is decided unswapped, and a k x l grid with k != l
+    # against another k x l grid never needs the l x k one
+    for t1, t2, equivalent in ((t, t, True), (a, a, True),
+                               (a, tps_new(2, 3, random_invertible(rng, 6)), False)):
+        assert tps_equivalent(t1, t2).equivalent is equivalent
+    assert not swaps
+    # a swapped pair, square or not, builds it once, and is decided by it
+    for t1 in (t, a):
+        swaps.clear()
+        verdict = tps_equivalent(t1, swap_factors(t1))
+        assert verdict.equivalent and verdict.swapped and len(swaps) == 1
 
 
 _UNITARY_SHAPES = [(2, 2), (2, 3), (3, 4), (5, 5), (6, 7), (8, 8)]
